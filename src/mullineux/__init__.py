@@ -48,7 +48,6 @@ from .partitions import (
 )
 from .twisted import (
     TwistedNode,
-    TwistedSignatureReport,
     canonical_path_twisted,
     e_twisted,
     enumerate_twisted,

@@ -19,7 +19,7 @@ from .characters import (
     fixed_size_bound,
     verify_identity,
 )
-from .export import graph_to_dot, graph_to_jsonl
+from .export import _dump, graph_to_dot, graph_to_jsonl
 from .folding import check_fold_relations, fold_cartan, unfold
 from .involution import fixed_set, irr_alternating_count, mullineux, mullineux_map
 from .partitions import CrystalKind, format_partition, parse_partition
@@ -29,10 +29,6 @@ from .typea import enumerate_kleshchev
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _kind_from(args) -> CrystalKind:

@@ -16,7 +16,7 @@ from .partitions import (
     e_regular_partitions,
     residue_counts,
 )
-from .typea import add_cogood, canonical_path, replay_path
+from .typea import add_cogood, canonical_path, crystal_edges, replay_path
 
 
 def mullineux(lam: Partition, e: int, tie_break: str = "min") -> Partition:
@@ -34,21 +34,14 @@ def mullineux_map(e: int, max_n: int) -> dict[Partition, Partition]:
     O(e) boundary scans instead of a full path replay.
     """
     images: dict[Partition, Partition] = {(): ()}
-    level: list[Partition] = [()]
-    for _ in range(max_n):
-        discovered = []
-        for lam in level:
-            for x in range(e):
-                mu = add_cogood(lam, x, e)
-                if mu is None or mu in images:
-                    continue
-                image = add_cogood(images[lam], (e - x) % e, e)
-                if image is None:
-                    raise InternalConsistencyError(
-                        f"negated word has no cogood step at {images[lam]} (e={e})")
-                images[mu] = image
-                discovered.append(mu)
-        level = sorted(discovered)
+    for lam, mu, x in crystal_edges(lambda lam, x: add_cogood(lam, x, e), e, max_n):
+        if mu in images:
+            continue
+        image = add_cogood(images[lam], (e - x) % e, e)
+        if image is None:
+            raise InternalConsistencyError(
+                f"negated word has no cogood step at {images[lam]} (e={e})")
+        images[mu] = image
     return images
 
 

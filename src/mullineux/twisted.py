@@ -27,10 +27,19 @@ from .partitions import (
     partitions_of,
     residue_twisted,
 )
-from .typea import CrystalGraph, _residue_order, _residue_value, cancel_ar
+from .typea import (
+    CrystalGraph,
+    SignatureReport,
+    _add_boxes,
+    _crystal_graph,
+    _remove_boxes,
+    _replay,
+    _residue_order,
+    _residue_value,
+    _signature,
+)
 
 REMOVABLE_TAGS = ("R1", "R2")
-ADDABLE_TAGS = ("A1", "A2")
 
 
 @dataclass(frozen=True)
@@ -46,27 +55,6 @@ class TwistedNode:
         return "R" if self.tag in REMOVABLE_TAGS else "A"
 
 
-@dataclass(frozen=True)
-class TwistedSignatureReport:
-    raw: tuple[TwistedNode, ...]
-    normal: tuple[TwistedNode, ...]
-    conormal: tuple[TwistedNode, ...]
-    good: TwistedNode | None
-    cogood: TwistedNode | None
-
-    @property
-    def epsilon(self) -> int:
-        return len(self.normal)
-
-    @property
-    def phi(self) -> int:
-        return len(self.conormal)
-
-    @property
-    def letters(self) -> str:
-        return "".join(entry.letter for entry in self.raw)
-
-
 def in_crystal_class(lam: Partition, kind: CrystalKind) -> bool:
     """Membership in the kind's vertex class: restricted e-strict partitions
     for the odd kind, double restricted (ell+1)-strict for the even kind."""
@@ -77,30 +65,6 @@ def in_crystal_class(lam: Partition, kind: CrystalKind) -> bool:
 def class_partitions(n: int, kind: CrystalKind) -> list[Partition]:
     """The class members of size n, sorted lexicographically."""
     return sorted(p for p in partitions_of(n) if in_crystal_class(p, kind))
-
-
-def _remove_boxes(lam: Partition, row: int, k: int) -> Partition | None:
-    # Boxes come off the end of a row; mid-row removal never leaves a diagram.
-    below = lam[row] if row < len(lam) else 0
-    new = lam[row - 1] - k
-    if new < below:
-        return None
-    if new == 0:
-        return lam[:row - 1]
-    return lam[:row - 1] + (new,) + lam[row:]
-
-
-def _add_boxes(lam: Partition, row: int, k: int) -> Partition | None:
-    if row > len(lam) + 1:
-        return None
-    if row == len(lam) + 1:
-        if lam and lam[-1] < k:
-            return None
-        return lam + (k,)
-    new = lam[row - 1] + k
-    if row >= 2 and lam[row - 2] < new:
-        return None
-    return lam[:row - 1] + (new,) + lam[row:]
 
 
 def node_scan(lam: Partition, kind: CrystalKind) -> tuple[TwistedNode, ...]:
@@ -144,24 +108,19 @@ def node_scan(lam: Partition, kind: CrystalKind) -> tuple[TwistedNode, ...]:
     return tuple(out)
 
 
-def signature_report_twisted(lam: Partition, i, kind: CrystalKind) -> TwistedSignatureReport:
+def signature_report_twisted(lam: Partition, i, kind: CrystalKind) -> SignatureReport:
     """Signature of lam at residue i in the twisted reading order."""
     iv = _residue_value(i, kind.modulus)
     raw = tuple(entry for entry in node_scan(lam, kind)
                 if entry.residue.value == iv)
-    survivors = [entry for entry, _ in
-                 cancel_ar([(entry, entry.letter) for entry in raw])]
-    normal = tuple(entry for entry in survivors if entry.letter == "R")
-    conormal = tuple(entry for entry in survivors if entry.letter == "A")
-    good = normal[-1] if normal else None
-    cogood = conormal[0] if conormal else None
-    if good is not None and good.tag != "R1":
+    report = _signature(raw, [(entry, entry.letter) for entry in raw])
+    if report.good is not None and report.good.tag != "R1":
         raise InternalConsistencyError(
-            f"good node {good} of {lam} is not R1")
-    if cogood is not None and cogood.tag != "A1":
+            f"good node {report.good} of {lam} is not R1")
+    if report.cogood is not None and report.cogood.tag != "A1":
         raise InternalConsistencyError(
-            f"cogood node {cogood} of {lam} is not A1")
-    return TwistedSignatureReport(raw, normal, conormal, good, cogood)
+            f"cogood node {report.cogood} of {lam} is not A1")
+    return report
 
 
 def _require_class(lam: Partition, kind: CrystalKind) -> None:
@@ -221,13 +180,7 @@ def canonical_path_twisted(lam: Partition, kind: CrystalKind,
 
 def replay_twisted(word, kind: CrystalKind) -> Partition:
     """Apply f_twisted from the empty partition along a residue word."""
-    lam: Partition = ()
-    for step, x in enumerate(word, start=1):
-        nxt = f_twisted(lam, x, kind)
-        if nxt is None:
-            raise ValueError(f"step {step}: no cogood {int(x)}-node on {lam}")
-        lam = nxt
-    return lam
+    return _replay(word, lambda lam, x: f_twisted(lam, x, kind), kind.modulus)
 
 
 def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
@@ -239,21 +192,5 @@ def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    levels: list[tuple[Partition, ...]] = [((),)]
-    edges: list[tuple[Partition, Partition, int]] = []
-    level: list[Partition] = [()]
-    for n in range(max_depth):
-        seen = set()
-        for lam in level:
-            for x in range(kind.modulus):
-                mu = f_twisted(lam, x, kind)
-                if mu is not None:
-                    edges.append((lam, mu, x))
-                    seen.add(mu)
-        level = sorted(seen)
-        if level != class_partitions(n + 1, kind):
-            raise InternalConsistencyError(
-                f"{kind.parity} ell={kind.ell} depth {n + 1}: reachable set "
-                f"differs from the class filter")
-        levels.append(tuple(level))
-    return CrystalGraph(tuple(levels), tuple(edges))
+    return _crystal_graph(lambda lam, x: f_twisted(lam, x, kind), kind.modulus, max_depth,
+                          lambda n: class_partitions(n, kind), f"{kind.parity} ell={kind.ell}")

@@ -12,6 +12,7 @@ generate the whole lattice from the empty partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .partitions import (
     InternalConsistencyError,
@@ -25,13 +26,16 @@ from .partitions import (
 
 @dataclass(frozen=True)
 class SignatureReport:
-    """A/R word of one residue plus the survivors of AR-cancellation."""
+    """A/R word of one residue plus the survivors of AR-cancellation; type A
+    keeps (node, letter) pairs in raw and nodes elsewhere, the twisted kinds
+    TwistedNode entries throughout."""
 
-    raw: tuple[tuple[Node, str], ...]
-    normal: tuple[Node, ...]
-    conormal: tuple[Node, ...]
-    good: Node | None
-    cogood: Node | None
+    raw: tuple
+    normal: tuple
+    conormal: tuple
+    good: object | None
+    cogood: object | None
+    letters: str
 
     @property
     def epsilon(self) -> int:
@@ -40,10 +44,6 @@ class SignatureReport:
     @property
     def phi(self) -> int:
         return len(self.conormal)
-
-    @property
-    def letters(self) -> str:
-        return "".join(letter for _, letter in self.raw)
 
 
 def removable_nodes(lam: Partition) -> list[Node]:
@@ -106,27 +106,42 @@ def signature_report(lam: Partition, x, e: int) -> SignatureReport:
     xv = _residue_value(x, e)
     raw = tuple(pair for pair in _boundary(lam)
                 if (pair[0][1] - pair[0][0]) % e == xv)
-    survivors = cancel_ar(raw)
-    normal = tuple(node for node, letter in survivors if letter == "R")
-    conormal = tuple(node for node, letter in survivors if letter == "A")
-    return SignatureReport(
-        raw=raw,
-        normal=normal,
-        conormal=conormal,
-        good=normal[-1] if normal else None,
-        cogood=conormal[0] if conormal else None,
-    )
+    return _signature(raw, raw)
 
 
-def _drop_box(lam: Partition, row: int) -> Partition:
-    part = lam[row - 1] - 1
-    return lam[:row - 1] + ((part,) if part else ()) + lam[row:]
+def _signature(raw: tuple, pairs) -> SignatureReport:
+    """Report on raw, whose word is spelled by the (entry, letter) pairs."""
+    survivors = cancel_ar(pairs)
+    normal = tuple(entry for entry, letter in survivors if letter == "R")
+    conormal = tuple(entry for entry, letter in survivors if letter == "A")
+    return SignatureReport(raw, normal, conormal,
+                           normal[-1] if normal else None,
+                           conormal[0] if conormal else None,
+                           "".join(map(itemgetter(1), pairs)))
 
 
-def _put_box(lam: Partition, row: int) -> Partition:
+def _remove_boxes(lam: Partition, row: int, k: int) -> Partition | None:
+    # Boxes come off the end of a row; mid-row removal never leaves a diagram.
+    below = lam[row] if row < len(lam) else 0
+    new = lam[row - 1] - k
+    if new < below:
+        return None
+    if new == 0:
+        return lam[:row - 1]
+    return lam[:row - 1] + (new,) + lam[row:]
+
+
+def _add_boxes(lam: Partition, row: int, k: int) -> Partition | None:
+    if row > len(lam) + 1:
+        return None
     if row == len(lam) + 1:
-        return lam + (1,)
-    return lam[:row - 1] + (lam[row - 1] + 1,) + lam[row:]
+        if lam and lam[-1] < k:
+            return None
+        return lam + (k,)
+    new = lam[row - 1] + k
+    if row >= 2 and lam[row - 2] < new:
+        return None
+    return lam[:row - 1] + (new,) + lam[row:]
 
 
 def remove_good(lam: Partition, x, e: int) -> Partition | None:
@@ -134,7 +149,7 @@ def remove_good(lam: Partition, x, e: int) -> Partition | None:
     report = signature_report(lam, x, e)
     if report.good is None:
         return None
-    return _drop_box(lam, report.good[0])
+    return _remove_boxes(lam, report.good[0], 1)
 
 
 def add_cogood(lam: Partition, x, e: int) -> Partition | None:
@@ -142,7 +157,7 @@ def add_cogood(lam: Partition, x, e: int) -> Partition | None:
     report = signature_report(lam, x, e)
     if report.cogood is None:
         return None
-    return _put_box(lam, report.cogood[0])
+    return _add_boxes(lam, report.cogood[0], 1)
 
 
 def good_nodes(lam: Partition, e: int) -> list[Node | None]:
@@ -181,7 +196,7 @@ def canonical_path(lam: Partition, e: int, tie_break: str = "min") -> tuple[int,
         for x in order:
             if goods[x] is not None:
                 word.append(x)
-                cur = _drop_box(cur, goods[x][0])
+                cur = _remove_boxes(cur, goods[x][0], 1)
                 break
         else:
             raise InternalConsistencyError(
@@ -194,16 +209,21 @@ class ReplayError(ValueError):
     """A residue word demanded a cogood node that does not exist."""
 
 
-def replay_path(word, e: int) -> Partition:
-    """Apply cogood additions from the empty partition along a residue word."""
+def _replay(word, lower, modulus: int) -> Partition:
+    """Apply lower(lam, x) from the empty partition along a residue word."""
     lam: Partition = ()
     for step, x in enumerate(word, start=1):
-        nxt = add_cogood(lam, x, e)
+        nxt = lower(lam, x)
         if nxt is None:
             raise ReplayError(
-                f"step {step}: no cogood {int(x) % e}-node on {lam}")
+                f"step {step}: no cogood {int(x) % modulus}-node on {lam}")
         lam = nxt
     return lam
+
+
+def replay_path(word, e: int) -> Partition:
+    """Apply cogood additions from the empty partition along a residue word."""
+    return _replay(word, lambda lam, x: add_cogood(lam, x, e), e)
 
 
 @dataclass(frozen=True)
@@ -221,6 +241,37 @@ class CrystalGraph:
         return tuple(len(level) for level in self.levels)
 
 
+def crystal_edges(lower, modulus: int, depth: int):
+    """Every arrow (lam, mu, x) grown from () by the lowering operator
+    lower(lam, x) (None when there is no x-arrow), up to depth boxes: level
+    by level, lam in lex order within a level, x ascending."""
+    level: list[Partition] = [()]
+    for _ in range(depth):
+        seen = set()
+        for lam in level:
+            for x in range(modulus):
+                mu = lower(lam, x)
+                if mu is not None:
+                    seen.add(mu)
+                    yield lam, mu, x
+        level = sorted(seen)
+
+
+def _crystal_graph(lower, modulus: int, depth: int, expected, label: str) -> CrystalGraph:
+    """Graph of crystal_edges(lower, modulus, depth); a level n >= 1 that
+    differs from expected(n) raises, naming the level and the kind's label."""
+    edges = tuple(crystal_edges(lower, modulus, depth))
+    reached: list[set[Partition]] = [{()}] + [set() for _ in range(depth)]
+    for _, mu, _ in edges:
+        reached[sum(mu)].add(mu)
+    levels = [sorted(level) for level in reached]
+    for n in range(1, depth + 1):
+        if levels[n] != expected(n):
+            raise InternalConsistencyError(
+                f"{label} level {n}: reachable set differs from the vertex filter")
+    return CrystalGraph(tuple(map(tuple, levels)), edges)
+
+
 def enumerate_kleshchev(e: int, max_n: int) -> CrystalGraph:
     """Levels 0..max_n of the e-good lattice with residue-labeled edges.
 
@@ -232,20 +283,5 @@ def enumerate_kleshchev(e: int, max_n: int) -> CrystalGraph:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     if e < 2:
         raise ValueError(f"e must be at least 2, got {e}")
-    levels: list[tuple[Partition, ...]] = [((),)]
-    edges: list[tuple[Partition, Partition, int]] = []
-    level: list[Partition] = [()]
-    for n in range(max_n):
-        seen = set()
-        for lam in level:
-            for x in range(e):
-                mu = add_cogood(lam, x, e)
-                if mu is not None:
-                    edges.append((lam, mu, x))
-                    seen.add(mu)
-        level = sorted(seen)
-        if level != e_regular_partitions(n + 1, e):
-            raise InternalConsistencyError(
-                f"e={e} level {n + 1}: reachable set differs from the regular filter")
-        levels.append(tuple(level))
-    return CrystalGraph(tuple(levels), tuple(edges))
+    return _crystal_graph(lambda lam, x: add_cogood(lam, x, e), e, max_n,
+                          lambda n: e_regular_partitions(n, e), f"e={e}")

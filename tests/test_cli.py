@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -184,3 +185,82 @@ def test_cache_corruption_is_a_miss(tmp_path):
     path.write_text(path.read_text().replace("payload", "tampered"))
     assert cache.get(("fixed", "e3", "n5")) is None
     assert cache.fetch(("fixed", "e3", "n5"), lambda: "rebuilt") == "rebuilt"
+
+
+# sha256 of each command's stdout, recorded with the 0.1.0 code.  CLI output
+# must stay byte-identical from version to version, and comparing two runs of
+# the same code cannot catch, say, a reordered edge list.
+PINNED_COMMANDS = COMMANDS + [
+    ["crystal", "export", "--kind", "typea", "-e", "3", "--bound", "10", "--format", "jsonl"],
+    ["crystal", "export", "--kind", "odd", "--ell", "2", "--bound", "12", "--format", "dot"],
+]
+PINNED_STDOUT_SHA256 = {
+    "compute -e 3 3,1,1":
+        "751bc88f91111d0040a8878aa8c63eab5b6091ea729d7a0e011fe5ba730480af",
+    "compute -e 3 2":
+        "660d27866c015bac26537ee8c3f4d4bd0822c690b976244961d61951e88520fb",
+    "fixed -e 3 -n 5":
+        "751bc88f91111d0040a8878aa8c63eab5b6091ea729d7a0e011fe5ba730480af",
+    "fixed -e 3 -n 5 --profile":
+        "61a84eb84769f68cb2af7082045e89a9dd788555a312f1a56acb2cbed49804b7",
+    "crystal export --kind typea -e 3 --bound 4 --format dot":
+        "347e055bfb3b6a84d48ce29e9df54e2ce509b07d36e7567ae390d47f46275df9",
+    "crystal export --kind typea -e 3 --bound 4 --format jsonl":
+        "c7c5f92e4e0e12c5a41a37f6f0490df4aedc65f51f4262e2592a3b6c155b0c4e",
+    "crystal export --kind odd --ell 1 --bound 5 --format jsonl":
+        "4fda8f9ee4c056f1130b5c6761b34d505f6edc694c530baf2fc76462172dc820",
+    "crystal export --kind even --ell 2 --bound 5 --format dot":
+        "1169b31f5e90cba7a5442e3063169429090a5ab7a7d7b099536b1bbff1cd0ce4",
+    "twisted path --kind odd --ell 1 2,1":
+        "fba560352a58f4d1cf525fda438ae639f5c65703fd54347ec22766f186ca0270",
+    "eta --kind odd --ell 1 2":
+        "751bc88f91111d0040a8878aa8c63eab5b6091ea729d7a0e011fe5ba730480af",
+    "eta --kind odd --ell 1 --check 2,1":
+        "72191f16e781fa558b168b356af72d6c447a974dc886b0e653cca31dbc3f561a",
+    "bijection dp2sp 4,2,1":
+        "ca2b9370e058843a96e0b5eeac153d43959fe5423aa53a5875fce5c1eb9bb3cd",
+    "bijection sp2dp 4,3,3,1":
+        "0f92702152b4a3299d311294b8e99d60bf39625d2e09922a325b35898330b826",
+    "fold-cartan -e 5":
+        "5db4110dade615e35ee4096edf5e395959d2b5da8b776f51dcc923b314466582",
+    "verify --kind odd --ell 1 --max-deg 2":
+        "014d5aec8a225a1e088a09a6b9c36d8535a17216074efd326692eb395ae35715",
+    "verify --kind even --ell 1 --max-deg 4 --json":
+        "9955d5baa875c21fea426cff7aa1c069926fe9c252cd9dac02b8dba90dd3ab78",
+    "alt-count -e 3 -n 5":
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    "crystal export --kind typea -e 3 --bound 10 --format jsonl":
+        "0c62e0a3df04747db75dc5b571a41270bbb2e66ddab2c681faade79f3f6510f7",
+    "crystal export --kind odd --ell 2 --bound 12 --format dot":
+        "b36b412ab9dda64ea589578382b92af012ecdbdd7d21758ddc714d769c443eef",
+}
+
+
+@pytest.mark.parametrize("args", PINNED_COMMANDS, ids=lambda a: " ".join(a))
+def test_stdout_matches_pinned_digest(args, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(args) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_STDOUT_SHA256[" ".join(args)]
+
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
+
+
+def run_script(name, args, tmp_path):
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, name), *args],
+        capture_output=True, text=True, env=cli_env(tmp_path),
+    )
+
+
+def test_identity_scan_script_passes(tmp_path):
+    run = run_script("identity_scan.py",
+                     ["--ells", "1", "--max-deg-odd", "3", "--max-deg-even", "4"], tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.count("result: PASS") == 2
+
+
+def test_fixed_point_census_script_runs(tmp_path):
+    run = run_script("fixed_point_census.py", ["-e", "3", "--max-n", "8"], tmp_path)
+    assert run.returncode == 0, run.stderr

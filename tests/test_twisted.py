@@ -2,6 +2,7 @@ import pytest
 
 from helpers import all_partitions, diagram, distinct_partitions, from_diagram
 
+from mullineux import twisted
 from mullineux.partitions import (
     CrystalKind,
     InternalConsistencyError,
@@ -199,6 +200,15 @@ def test_enumerate_twisted_examples():
 
 def test_odd1_level_sizes():
     assert enumerate_twisted(ODD1, 6).level_sizes() == (1, 1, 1, 1, 1, 2, 2)
+
+
+def test_enumerate_twisted_cross_check_fires(monkeypatch):
+    def short_level_5(n, kind):
+        level = class_partitions(n, kind)
+        return level[1:] if n == 5 else level
+    monkeypatch.setattr(twisted, "class_partitions", short_level_5)
+    with pytest.raises(InternalConsistencyError, match="odd ell=1 level 5"):
+        enumerate_twisted(ODD1, 6)
 
 
 @pytest.mark.parametrize("kind", (EVEN1, EVEN2, CrystalKind.even(3)))

@@ -4,7 +4,15 @@ from hypothesis import given
 from conftest import ar_words_st, partitions_st
 from helpers import cancel_by_deletion, diagram, from_diagram
 
-from mullineux.partitions import Residue, e_regular_partitions, is_e_regular
+from mullineux import typea
+from mullineux.partitions import (
+    CrystalKind,
+    InternalConsistencyError,
+    Residue,
+    e_regular_partitions,
+    is_e_regular,
+)
+from mullineux.twisted import replay_twisted
 from mullineux.typea import (
     ReplayError,
     add_cogood,
@@ -127,6 +135,8 @@ def test_canonical_path_examples():
 def test_replay_error_carries_step():
     with pytest.raises(ReplayError, match="step 1"):
         replay_path((1,), 3)
+    with pytest.raises(ReplayError, match="step 1"):
+        replay_twisted((1,), CrystalKind.odd(2))
 
 
 def test_first_row_end_is_normal_whenever_removable():
@@ -170,6 +180,15 @@ def test_enumerate_kleshchev_levels():
 
     two = enumerate_kleshchev(2, 4)
     assert set(two.levels[4]) == {(4,), (3, 1)}
+
+
+def test_enumerate_kleshchev_cross_check_fires(monkeypatch):
+    def short_level_4(n, e):
+        level = e_regular_partitions(n, e)
+        return level[1:] if n == 4 else level
+    monkeypatch.setattr(typea, "e_regular_partitions", short_level_4)
+    with pytest.raises(InternalConsistencyError, match="e=3 level 4"):
+        enumerate_kleshchev(3, 6)
 
 
 def test_enumerate_kleshchev_edges_are_good_node_arrows():

@@ -19,6 +19,9 @@ from typing import Callable
 
 ENV_VAR = "MULLINEUX_CACHE_DIR"
 DEFAULT_DIR = ".mullineux-cache"
+# Leads every entry's file name; bump it whenever a payload's format or the
+# code that builds it changes, so that entries from older code are misses.
+SCHEMA_VERSION = "v1"
 
 
 def _digest(text: str) -> str:
@@ -32,7 +35,7 @@ class Cache:
         self.root = Path(root)
 
     def _path(self, key: tuple) -> Path:
-        slug = "-".join(str(part) for part in key)
+        slug = "-".join(str(part) for part in (SCHEMA_VERSION, *key))
         safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in slug)
         return self.root / f"{safe}.json"
 

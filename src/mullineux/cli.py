@@ -2,7 +2,8 @@
 
 Output is deterministic byte-for-byte for identical invocations, with or
 without a warm cache.  Exit status: 0 on success, 1 when a verification
-command finds a failure, 2 on usage errors.
+command finds a failure, 2 on usage errors, 3 when an internal consistency
+check fails (a bug, reported as one `internal error:` line on stderr).
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from .characters import (
 from .export import _dump, graph_to_dot, graph_to_jsonl
 from .folding import check_fold_relations, fold_cartan, unfold
 from .involution import fixed_set, irr_alternating_count, mullineux, mullineux_map
-from .partitions import CrystalKind, format_partition, parse_partition
+from .partitions import CrystalKind, InternalConsistencyError, format_partition, parse_partition
 from .twisted import canonical_path_twisted, enumerate_twisted
 from .typea import enumerate_kleshchev
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _kind_from(args) -> CrystalKind:
@@ -242,6 +244,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

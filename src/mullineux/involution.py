@@ -16,7 +16,7 @@ from .partitions import (
     e_regular_partitions,
     residue_counts,
 )
-from .typea import add_cogood, canonical_path, crystal_edges, replay_path
+from .typea import _cogood_lowering, canonical_path, crystal_edges, replay_path
 
 
 def mullineux(lam: Partition, e: int, tie_break: str = "min") -> Partition:
@@ -30,14 +30,16 @@ def mullineux_map(e: int, max_n: int) -> dict[Partition, Partition]:
 
     Walks the lattice once, level by level: when mu is first discovered
     through an arrow lam -> mu of residue x, its image is the cogood
-    (-x mod e)-addition to the image of lam.  Each vertex therefore costs
-    O(e) boundary scans instead of a full path replay.
+    (-x mod e)-addition to the image of lam.  That image lies on the level
+    of lam, so the lowering's per-level memo serves both steps, and each
+    vertex costs one boundary scan.
     """
+    lower = _cogood_lowering(e)
     images: dict[Partition, Partition] = {(): ()}
-    for lam, mu, x in crystal_edges(lambda lam, x: add_cogood(lam, x, e), e, max_n):
+    for lam, mu, x in crystal_edges(lower, e, max_n):
         if mu in images:
             continue
-        image = add_cogood(images[lam], (e - x) % e, e)
+        image = lower(images[lam], -x % e)
         if image is None:
             raise InternalConsistencyError(
                 f"negated word has no cogood step at {images[lam]} (e={e})")

@@ -25,22 +25,19 @@ from .partitions import (
     is_strict,
     is_strict_class,
     partitions_of,
-    residue_twisted,
 )
 from .typea import (
     CrystalGraph,
     SignatureReport,
-    _add_boxes,
+    _add_box,
     _crystal_graph,
-    _remove_boxes,
+    _lowering,
+    _remove_box,
     _replay,
-    _residue_order,
     _residue_value,
     _signature,
+    _strip_good_nodes,
 )
-
-REMOVABLE_TAGS = ("R1", "R2")
-
 
 @dataclass(frozen=True)
 class TwistedNode:
@@ -52,7 +49,7 @@ class TwistedNode:
 
     @property
     def letter(self) -> str:
-        return "R" if self.tag in REMOVABLE_TAGS else "A"
+        return self.tag[0]
 
 
 def in_crystal_class(lam: Partition, kind: CrystalKind) -> bool:
@@ -80,32 +77,61 @@ def node_scan(lam: Partition, kind: CrystalKind) -> tuple[TwistedNode, ...]:
     f = kind.strict_f
     if not is_strict(lam, f):
         raise ValueError(f"{lam} is not {f}-strict")
-    out: list[TwistedNode] = []
+    return tuple(TwistedNode(node, tag, Residue(x, kind.modulus))
+                 for node, tag, x in _scan(lam, kind))
+
+
+def _fits(upper: int, lower: int, f: int) -> bool:
+    # Adjacent parts upper >= lower of an f-strict partition, equal only
+    # when f divides them.
+    return upper > lower or (upper == lower and upper % f == 0)
+
+
+def _scan(lam: Partition, kind: CrystalKind) -> list[tuple[Node, str, int]]:
+    """node_scan as (node, tag, residue value) triples.  Unchecked: lam must
+    be f-strict, so a one- or two-box move at the end of a row keeps it
+    f-strict exactly when the moved part still fits its neighbours."""
+    f, pattern = kind.strict_f, kind.column_pattern
+    parts = (lam[0] + 3 if lam else 3,) + lam + (0, 0)
+    out = []
     for row in range(len(lam) + 1, 0, -1):
-        part = lam[row - 1] if row <= len(lam) else 0
-        if row <= len(lam):
-            single = _remove_boxes(lam, row, 1)
-            single_ok = single is not None and is_strict(single, f)
-            if part >= 2:
-                double = _remove_boxes(lam, row, 2)
-                if (single_ok and double is not None and is_strict(double, f)
-                        and residue_twisted(part - 1, kind) == residue_twisted(part, kind)):
-                    out.append(TwistedNode((row, part - 1), "R2",
-                                           residue_twisted(part - 1, kind)))
-            if single_ok:
-                out.append(TwistedNode((row, part), "R1",
-                                       residue_twisted(part, kind)))
-        plus_one = _add_boxes(lam, row, 1)
-        plus_one_ok = plus_one is not None and is_strict(plus_one, f)
-        if plus_one_ok:
-            out.append(TwistedNode((row, part + 1), "A1",
-                                   residue_twisted(part + 1, kind)))
-        plus_two = _add_boxes(lam, row, 2)
-        if (plus_one_ok and plus_two is not None and is_strict(plus_two, f)
-                and residue_twisted(part + 1, kind) == residue_twisted(part + 2, kind)):
-            out.append(TwistedNode((row, part + 2), "A2",
-                                   residue_twisted(part + 2, kind)))
-    return tuple(out)
+        above, part, below = parts[row - 1:row + 2]
+        res = [pattern[(col - 1) % len(pattern)] for col in range(part - 1, part + 3)]
+        if part and _fits(part - 1, below, f):
+            if part >= 2 and _fits(part - 2, below, f) and res[0] == res[1]:
+                out.append(((row, part - 1), "R2", res[0]))
+            out.append(((row, part), "R1", res[1]))
+        if _fits(above, part + 1, f):
+            out.append(((row, part + 1), "A1", res[2]))
+            if _fits(above, part + 2, f) and res[2] == res[3]:
+                out.append(((row, part + 2), "A2", res[3]))
+    return out
+
+
+def _good_cogood_rows(lam: Partition, kind: CrystalKind) -> list[list[int]]:
+    """Rows of the good and of the cogood i-node for every residue i (0 when
+    there is none), from one node scan of a class member, selected as in
+    typea._good_cogood_rows; the good node must be R1, the cogood node A1."""
+    m = kind.modulus
+    good, cogood, pending = [None] * m, [None] * m, [0] * m
+    for entry in _scan(lam, kind):
+        x = entry[2]
+        if entry[1][0] == "A":
+            if not pending[x]:
+                cogood[x] = entry
+            pending[x] += 1
+        elif pending[x]:
+            pending[x] -= 1
+        else:
+            good[x] = entry
+    cogood = [entry if count else None for entry, count in zip(cogood, pending)]
+    rows = []
+    for name, tag, entries in (("good", "R1", good), ("cogood", "A1", cogood)):
+        for entry in entries:
+            if entry and entry[1] != tag:
+                raise InternalConsistencyError(f"{name} node {entry[0]} of {lam} is not {tag}")
+        rows.append([entry[0][0] if entry else 0 for entry in entries])
+    return rows
 
 
 def signature_report_twisted(lam: Partition, i, kind: CrystalKind) -> SignatureReport:
@@ -129,30 +155,34 @@ def _require_class(lam: Partition, kind: CrystalKind) -> None:
         raise ValueError(f"{lam} is not a {cls} {kind.strict_f}-strict partition")
 
 
+def _moved(lam: Partition, row: int, kind: CrystalKind, add: bool) -> Partition | None:
+    """lam with a box added at (or removed from) the end of row, which must
+    leave a class member; None when row is 0."""
+    result = (_add_box if add else _remove_box)(lam, row)
+    if row and (result is None or not in_crystal_class(result, kind)):
+        move = "cogood addition" if add else "good removal"
+        raise InternalConsistencyError(
+            f"{move} left the class: {lam} {'+' if add else '-'} row {row}")
+    return result
+
+
+def _f_lowering(kind: CrystalKind):
+    return _lowering(lambda lam: _good_cogood_rows(lam, kind)[1],
+                     lambda lam, row: _moved(lam, row, kind, True))
+
+
 def f_twisted(lam: Partition, i, kind: CrystalKind) -> Partition | None:
     """Lowering operator: add the cogood i-node (a single box), or None."""
     _require_class(lam, kind)
-    report = signature_report_twisted(lam, i, kind)
-    if report.cogood is None:
-        return None
-    result = _add_boxes(lam, report.cogood.node[0], 1)
-    if result is None or not in_crystal_class(result, kind):
-        raise InternalConsistencyError(
-            f"cogood addition left the class: {lam} + {report.cogood.node}")
-    return result
+    row = _good_cogood_rows(lam, kind)[1][_residue_value(i, kind.modulus)]
+    return _moved(lam, row, kind, True)
 
 
 def e_twisted(lam: Partition, i, kind: CrystalKind) -> Partition | None:
     """Raising operator: remove the good i-node (a single box), or None."""
     _require_class(lam, kind)
-    report = signature_report_twisted(lam, i, kind)
-    if report.good is None:
-        return None
-    result = _remove_boxes(lam, report.good.node[0], 1)
-    if result is None or not in_crystal_class(result, kind):
-        raise InternalConsistencyError(
-            f"good removal left the class: {lam} - {report.good.node}")
-    return result
+    row = _good_cogood_rows(lam, kind)[0][_residue_value(i, kind.modulus)]
+    return _moved(lam, row, kind, False)
 
 
 def canonical_path_twisted(lam: Partition, kind: CrystalKind,
@@ -161,26 +191,14 @@ def canonical_path_twisted(lam: Partition, kind: CrystalKind,
     letter per box, chosen by stripping good nodes at the first residue (in
     tie_break order) that has one."""
     _require_class(lam, kind)
-    order = _residue_order(kind.modulus, tie_break)
-    word = []
-    cur = lam
-    while cur:
-        for x in order:
-            nxt = e_twisted(cur, x, kind)
-            if nxt is not None:
-                word.append(x)
-                cur = nxt
-                break
-        else:
-            raise InternalConsistencyError(
-                f"nonempty class member {cur} has no good node")
-    word.reverse()
-    return tuple(word)
+    return _strip_good_nodes(lam, lambda cur: _good_cogood_rows(cur, kind)[0],
+                             lambda cur, row: _moved(cur, row, kind, False),
+                             kind.modulus, tie_break, "class member")
 
 
 def replay_twisted(word, kind: CrystalKind) -> Partition:
     """Apply f_twisted from the empty partition along a residue word."""
-    return _replay(word, lambda lam, x: f_twisted(lam, x, kind), kind.modulus)
+    return _replay(word, _f_lowering(kind), kind.modulus)
 
 
 def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
@@ -192,5 +210,5 @@ def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    return _crystal_graph(lambda lam, x: f_twisted(lam, x, kind), kind.modulus, max_depth,
+    return _crystal_graph(_f_lowering(kind), kind.modulus, max_depth,
                           lambda n: class_partitions(n, kind), f"{kind.parity} ell={kind.ell}")

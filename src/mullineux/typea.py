@@ -120,25 +120,22 @@ def _signature(raw: tuple, pairs) -> SignatureReport:
                            "".join(map(itemgetter(1), pairs)))
 
 
-def _remove_boxes(lam: Partition, row: int, k: int) -> Partition | None:
-    # Boxes come off the end of a row; mid-row removal never leaves a diagram.
+def _remove_box(lam: Partition, row: int) -> Partition | None:
+    """lam less the box at the end of row; None when row is 0 or the rest
+    is not a diagram (mid-row removal never leaves one)."""
     below = lam[row] if row < len(lam) else 0
-    new = lam[row - 1] - k
-    if new < below:
+    if not row or lam[row - 1] <= below:
         return None
-    if new == 0:
-        return lam[:row - 1]
-    return lam[:row - 1] + (new,) + lam[row:]
+    new = lam[row - 1] - 1
+    return lam[:row - 1] + ((new,) if new else ()) + lam[row:]
 
 
-def _add_boxes(lam: Partition, row: int, k: int) -> Partition | None:
-    if row > len(lam) + 1:
+def _add_box(lam: Partition, row: int) -> Partition | None:
+    """lam plus a box at the end of row; None when row is 0 or the result
+    is not a diagram."""
+    if not row or row > len(lam) + 1:
         return None
-    if row == len(lam) + 1:
-        if lam and lam[-1] < k:
-            return None
-        return lam + (k,)
-    new = lam[row - 1] + k
+    new = (lam[row - 1] if row <= len(lam) else 0) + 1
     if row >= 2 and lam[row - 2] < new:
         return None
     return lam[:row - 1] + (new,) + lam[row:]
@@ -147,37 +144,61 @@ def _add_boxes(lam: Partition, row: int, k: int) -> Partition | None:
 def remove_good(lam: Partition, x, e: int) -> Partition | None:
     """Remove the good x-node, or None when there is none."""
     report = signature_report(lam, x, e)
-    if report.good is None:
-        return None
-    return _remove_boxes(lam, report.good[0], 1)
+    return _remove_box(lam, report.good[0]) if report.good else None
 
 
 def add_cogood(lam: Partition, x, e: int) -> Partition | None:
     """Add the cogood x-node, or None when there is none."""
     report = signature_report(lam, x, e)
-    if report.cogood is None:
-        return None
-    return _add_boxes(lam, report.cogood[0], 1)
+    return _add_box(lam, report.cogood[0]) if report.cogood else None
+
+
+def _good_cogood_rows(lam: Partition, e: int) -> tuple[list[int], list[int]]:
+    """Rows of the good and of the cogood x-node for every residue x (0 for
+    none), in one top-down pass over the boundary that keeps a count of
+    pending A's per residue.  Unchecked: lam e-regular, e >= 2."""
+    good, cogood, pending = [0] * e, [0] * e, [0] * e
+    above = -1
+    for row, (part, below) in enumerate(zip(lam + (0,), lam[1:] + (0, 0)), start=1):
+        if part > below:
+            x = (part - row) % e
+            if pending[x]:
+                pending[x] -= 1
+            else:
+                good[x] = row
+        if above != part:
+            x = (part + 1 - row) % e
+            if not pending[x]:
+                cogood[x] = row
+            pending[x] += 1
+        above = part
+    return good, [row if count else 0 for row, count in zip(cogood, pending)]
 
 
 def good_nodes(lam: Partition, e: int) -> list[Node | None]:
     """Good node for every residue, from a single boundary scan."""
-    buckets: list[list[tuple[Node, str]]] = [[] for _ in range(e)]
-    for node, letter in _boundary(lam):
-        buckets[(node[1] - node[0]) % e].append((node, letter))
-    out: list[Node | None] = []
-    for bucket in buckets:
-        normals = [node for node, letter in cancel_ar(bucket) if letter == "R"]
-        out.append(normals[-1] if normals else None)
-    return out
+    return [(row, lam[row - 1]) if row else None
+            for row in _good_cogood_rows(lam, e)[0]]
 
 
-def _residue_order(e: int, tie_break: str) -> range:
-    if tie_break == "min":
-        return range(e)
-    if tie_break == "max":
-        return range(e - 1, -1, -1)
-    raise ValueError(f"tie_break must be 'min' or 'max', got {tie_break!r}")
+def _strip_good_nodes(lam: Partition, good_rows, remove, modulus: int,
+                      tie_break: str, label: str) -> tuple[int, ...]:
+    """The reversed word of residues at which remove(cur, row) strips lam,
+    always at the first residue in tie_break order with a good_rows(cur)."""
+    if tie_break not in ("min", "max"):
+        raise ValueError(f"tie_break must be 'min' or 'max', got {tie_break!r}")
+    order = range(modulus) if tie_break == "min" else range(modulus - 1, -1, -1)
+    word = []
+    cur = lam
+    while cur:
+        rows = good_rows(cur)
+        x = next((x for x in order if rows[x]), None)
+        if x is None:
+            raise InternalConsistencyError(f"nonempty {label} {cur} has no good node")
+        word.append(x)
+        cur = remove(cur, rows[x])
+    word.reverse()
+    return tuple(word)
 
 
 def canonical_path(lam: Partition, e: int, tie_break: str = "min") -> tuple[int, ...]:
@@ -188,21 +209,8 @@ def canonical_path(lam: Partition, e: int, tie_break: str = "min") -> tuple[int,
     """
     if not is_e_regular(lam, e):
         raise ValueError(f"{lam} is not {e}-regular")
-    order = _residue_order(e, tie_break)
-    word = []
-    cur = lam
-    while cur:
-        goods = good_nodes(cur, e)
-        for x in order:
-            if goods[x] is not None:
-                word.append(x)
-                cur = _remove_boxes(cur, goods[x][0], 1)
-                break
-        else:
-            raise InternalConsistencyError(
-                f"nonempty {e}-regular partition {cur} has no good node")
-    word.reverse()
-    return tuple(word)
+    return _strip_good_nodes(lam, lambda cur: _good_cogood_rows(cur, e)[0], _remove_box,
+                             e, tie_break, f"{e}-regular partition")
 
 
 class ReplayError(ValueError):
@@ -213,17 +221,17 @@ def _replay(word, lower, modulus: int) -> Partition:
     """Apply lower(lam, x) from the empty partition along a residue word."""
     lam: Partition = ()
     for step, x in enumerate(word, start=1):
+        x = _residue_value(x, modulus)
         nxt = lower(lam, x)
         if nxt is None:
-            raise ReplayError(
-                f"step {step}: no cogood {int(x) % modulus}-node on {lam}")
+            raise ReplayError(f"step {step}: no cogood {x}-node on {lam}")
         lam = nxt
     return lam
 
 
 def replay_path(word, e: int) -> Partition:
     """Apply cogood additions from the empty partition along a residue word."""
-    return _replay(word, lambda lam, x: add_cogood(lam, x, e), e)
+    return _replay(word, _cogood_lowering(e), e)
 
 
 @dataclass(frozen=True)
@@ -257,6 +265,28 @@ def crystal_edges(lower, modulus: int, depth: int):
         level = sorted(seen)
 
 
+def _lowering(rows_of, add):
+    """lower(lam, x) = add(lam, rows_of(lam)[x]) for crystal_edges, with
+    rows_of computed once per vertex and kept for one level (size) at a time."""
+    memo: dict[Partition, list[int]] = {}
+
+    def lower(lam, x):
+        rows = memo.get(lam)
+        if rows is None:
+            if memo and sum(next(iter(memo))) != sum(lam):
+                memo.clear()
+            rows = memo[lam] = rows_of(lam)
+        return add(lam, rows[x])
+    return lower
+
+
+def _cogood_lowering(e: int):
+    """_lowering by cogood addition in the e-good lattice."""
+    if e < 2:
+        raise ValueError(f"e must be at least 2, got {e}")
+    return _lowering(lambda lam: _good_cogood_rows(lam, e)[1], _add_box)
+
+
 def _crystal_graph(lower, modulus: int, depth: int, expected, label: str) -> CrystalGraph:
     """Graph of crystal_edges(lower, modulus, depth); a level n >= 1 that
     differs from expected(n) raises, naming the level and the kind's label."""
@@ -281,7 +311,5 @@ def enumerate_kleshchev(e: int, max_n: int) -> CrystalGraph:
     """
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
-    if e < 2:
-        raise ValueError(f"e must be at least 2, got {e}")
-    return _crystal_graph(lambda lam, x: add_cogood(lam, x, e), e, max_n,
+    return _crystal_graph(_cogood_lowering(e), e, max_n,
                           lambda n: e_regular_partitions(n, e), f"e={e}")

@@ -93,3 +93,15 @@ def distinct_partitions(n):
 def symmetric_partitions(n):
     """Self-conjugate partitions of n."""
     return [p for p in all_partitions(n) if conjugate_by_columns(p) == p]
+
+
+def distinct_odd_counts(e, max_n):
+    """Andrews-Bessenrodt-Olsson 1994: for odd e, the number of partitions of
+    n into distinct odd parts not divisible by e equals the number of
+    Mullineux-fixed e-regular partitions of n.  Entry n, for n = 0..max_n."""
+    counts = [1] + [0] * max_n
+    for part in range(1, max_n + 1, 2):
+        if part % e:
+            for n in range(max_n, part - 1, -1):
+                counts[n] += counts[n - part]
+    return counts

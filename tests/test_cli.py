@@ -7,8 +7,10 @@ import sys
 import pytest
 
 import mullineux
-from mullineux.cache import Cache
-from mullineux.cli import main
+from mullineux import typea
+from mullineux.cache import Cache, _digest
+from mullineux.cli import EXIT_INTERNAL, EXIT_USAGE, main
+from mullineux.export import _dump
 
 COMMANDS = [
     ["compute", "-e", "3", "3,1,1"],
@@ -185,6 +187,40 @@ def test_cache_corruption_is_a_miss(tmp_path):
     path.write_text(path.read_text().replace("payload", "tampered"))
     assert cache.get(("fixed", "e3", "n5")) is None
     assert cache.fetch(("fixed", "e3", "n5"), lambda: "rebuilt") == "rebuilt"
+
+
+def test_fixed_rejects_e_below_two_and_caches_nothing(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["fixed", "-e", "0", "-n", "3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: e must be at least 2, got 0\n"
+    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
+
+def test_unversioned_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch):
+    # An entry exactly as written before keys carried a schema version,
+    # holding a stale payload: it must be neither found nor printed.
+    root = tmp_path / "cache"
+    root.mkdir()
+    stale = _dump({"n": 5, "partition": [5], "residue_profile": [1, 2, 2]}) + "\n"
+    (root / "fixed-e3-n5.json").write_text(json.dumps(
+        {"key": ["fixed", "e3", "n5"], "sha256": _digest(stale), "payload": stale}))
+    assert Cache(root).get(("fixed", "e3", "n5")) is None
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(root))
+    assert main(["fixed", "-e", "3", "-n", "5"]) == 0
+    assert capsys.readouterr().out == "3,1,1\n"
+
+
+def test_internal_error_has_its_own_exit_code(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    # a kernel that finds no good node on a nonempty partition
+    monkeypatch.setattr(typea, "_good_cogood_rows", lambda lam, e: ([0] * e, [0] * e))
+    assert main(["compute", "-e", "3", "3,1,1"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: nonempty 3-regular partition (3, 1, 1) has no good node\n")
 
 
 # sha256 of each command's stdout, recorded with the 0.1.0 code.  CLI output

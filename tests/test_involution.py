@@ -1,4 +1,5 @@
 import pytest
+from helpers import distinct_odd_counts
 
 from mullineux.involution import (
     fixed_set,
@@ -73,3 +74,21 @@ def test_irr_alternating_count():
     assert irr_alternating_count(3, 1) == 2
     with pytest.raises(ValueError):
         irr_alternating_count(3, 0)
+
+
+def fixed_counts(e, max_n):
+    counts = [0] * (max_n + 1)
+    for lam, image in mullineux_map(e, max_n).items():
+        if image == lam:
+            counts[sum(lam)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("e, max_n", [(3, 40), (5, 32), (7, 30)])
+def test_fixed_counts_match_andrews_bessenrodt_olsson(e, max_n):
+    assert fixed_counts(e, max_n) == distinct_odd_counts(e, max_n)
+
+
+@pytest.mark.parametrize("e", [4, 6])
+def test_andrews_bessenrodt_olsson_count_fails_for_even_e(e):
+    assert fixed_counts(e, 24) != distinct_odd_counts(e, 24)

@@ -223,3 +223,18 @@ def test_enumerate_twisted_edges_are_operator_arrows():
     for src, dst, x in graph.edges:
         assert f_twisted(src, x, ODD2) == dst
         assert e_twisted(dst, x, ODD2) == src
+
+
+@pytest.mark.parametrize("kind", [CrystalKind.odd(ell) for ell in (1, 2, 3)]
+                         + [CrystalKind.even(ell) for ell in (1, 2)], ids=str)
+def test_good_cogood_rows_match_signature_report(kind):
+    # one node scan bucketed by residue against one report per residue
+    for n in range(15):
+        for lam in all_partitions(n):
+            if not in_crystal_class(lam, kind):
+                continue
+            good, cogood = twisted._good_cogood_rows(lam, kind)
+            for i in range(kind.modulus):
+                report = signature_report_twisted(lam, i, kind)
+                assert good[i] == (report.good.node[0] if report.good else 0), (lam, i)
+                assert cogood[i] == (report.cogood.node[0] if report.cogood else 0), (lam, i)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 
 from conftest import ar_words_st, partitions_st
-from helpers import cancel_by_deletion, diagram, from_diagram
+from helpers import all_partitions, cancel_by_deletion, diagram, from_diagram
 
 from mullineux import typea
 from mullineux.partitions import (
@@ -200,3 +200,17 @@ def test_enumerate_kleshchev_edges_are_good_node_arrows():
     for level in graph.levels[1:]:
         for lam in level:
             assert lam in targets
+
+
+@pytest.mark.parametrize("e", range(2, 8))
+def test_good_cogood_rows_match_signature_report(e):
+    # the one-pass kernel against the report built by sort and cancellation
+    for n in range(15):
+        for lam in all_partitions(n):
+            if not is_e_regular(lam, e):
+                continue
+            good, cogood = typea._good_cogood_rows(lam, e)
+            for x in range(e):
+                report = signature_report(lam, x, e)
+                assert good[x] == (report.good[0] if report.good else 0), (lam, x)
+                assert cogood[x] == (report.cogood[0] if report.cogood else 0), (lam, x)

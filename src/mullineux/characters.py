@@ -16,11 +16,9 @@ from .involution import mullineux_map
 from .partitions import (
     CrystalKind,
     InternalConsistencyError,
-    Partition,
     residue_counts,
 )
 from .twisted import enumerate_twisted
-from .typea import CrystalGraph
 
 
 @dataclass(frozen=True)
@@ -67,16 +65,13 @@ class CountsTable:
         return self.counts.get((n, m, mp), 0)
 
 
-def counts_table(e: int, max_size: int,
-                 images: dict[Partition, Partition] | None = None) -> CountsTable:
+def counts_table(e: int, max_size: int) -> CountsTable:
     """Group the Mullineux-fixed partitions of every size <= max_size by
     (N_0, N_ell) with ell = e // 2, asserting the parity constraints that
     fixed partitions are known to satisfy."""
     ell = e // 2
-    if images is None:
-        images = mullineux_map(e, max_size)
     counts: dict[tuple[int, int, int], int] = {}
-    for lam, image in images.items():
+    for lam, image in mullineux_map(e, max_size).items():
         if image != lam:
             continue
         n = sum(lam)
@@ -96,6 +91,8 @@ def counts_table(e: int, max_size: int,
 def fixed_size_bound(kind: CrystalKind, max_degree: int) -> int:
     """Largest fixed-partition size the degree-n sum can reach: 4n for the
     odd kind (index 2n - m + 2m'), 2n for the even kind (index 2n - m - m')."""
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     return (4 if kind.is_odd else 2) * max_degree
 
 
@@ -152,16 +149,13 @@ class IdentityReport:
 
 
 def verify_identity(kind: CrystalKind, max_degree: int, *,
-                    table: CountsTable | None = None,
-                    graph: CrystalGraph | None = None) -> IdentityReport:
+                    table: CountsTable | None = None) -> IdentityReport:
     """Three-way comparison per degree n <= max_degree: series coefficient,
     crystal depth-n census, and the fixed-point sum from the counts table.
 
     The table must cover fixed sizes up to fixed_size_bound(kind, max_degree);
     by default it is built from scratch (the dominant cost at larger degrees).
     """
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     bound = fixed_size_bound(kind, max_degree)
     if table is None:
         table = counts_table(kind.e, bound)
@@ -169,8 +163,7 @@ def verify_identity(kind: CrystalKind, max_degree: int, *,
         raise ValueError(
             f"counts table (e={table.e}, max_size={table.max_size}) does not "
             f"cover e={kind.e} up to size {bound}")
-    if graph is None:
-        graph = enumerate_twisted(kind, max_degree)
+    graph = enumerate_twisted(kind, max_degree)
     series = character_series(kind, max_degree)
     rows = []
     for n in range(max_degree + 1):

@@ -4,6 +4,7 @@ Output is deterministic byte-for-byte for identical invocations, with or
 without a warm cache.  Exit status: 0 on success, 1 when a verification
 command finds a failure, 2 on usage errors, 3 when an internal consistency
 check fails (a bug, reported as one `internal error:` line on stderr).
+`-e` and `--ell` above MAX_E are usage errors, rejected before any work.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .bijections import distinct_to_symmetric, symmetric_to_distinct
 from .cache import Cache
@@ -22,7 +24,7 @@ from .characters import (
 )
 from .export import _dump, graph_to_dot, graph_to_jsonl
 from .folding import check_fold_relations, fold_cartan, unfold
-from .involution import fixed_set, irr_alternating_count, mullineux, mullineux_map
+from .involution import fixed_set, irr_alternating_count, mullineux
 from .partitions import CrystalKind, InternalConsistencyError, format_partition, parse_partition
 from .twisted import canonical_path_twisted, enumerate_twisted
 from .typea import enumerate_kleshchev
@@ -31,6 +33,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+# Far above any e or ell in use; it keeps kernel lists of length e small.
+MAX_E = 1000
 
 
 def _kind_from(args) -> CrystalKind:
@@ -63,35 +67,24 @@ def cmd_fixed(args) -> int:
     return EXIT_OK
 
 
-def _export_payload(args) -> str:
-    if args.kind == "typea":
-        graph = enumerate_kleshchev(args.e, args.bound)
-        header = {"bound": args.bound, "e": args.e, "format": "mull.crystal",
-                  "kind": "typea", "version": 1}
-    else:
-        kind = _kind_from(args)
-        graph = enumerate_twisted(kind, args.bound)
-        header = {"bound": args.bound, "ell": args.ell, "format": "mull.crystal",
-                  "kind": args.kind, "version": 1}
-    if args.format == "dot":
-        return graph_to_dot(graph)
-    return graph_to_jsonl(graph, header)
-
-
 def cmd_crystal_export(args) -> int:
     if args.kind == "typea":
         if args.e is None:
             raise ValueError("--kind typea requires -e")
-        param = f"e{args.e}"
+        param, value, build = "e", args.e, partial(enumerate_kleshchev, args.e)
     else:
         if args.ell is None:
             raise ValueError(f"--kind {args.kind} requires --ell")
-        param = f"ell{args.ell}"
-    cache = Cache()
-    payload = cache.fetch(
-        ("export", args.kind, param, f"b{args.bound}", args.format),
-        lambda: _export_payload(args))
-    sys.stdout.write(payload)
+        param, value, build = "ell", args.ell, partial(enumerate_twisted, _kind_from(args))
+    header = {"bound": args.bound, param: value, "format": "mull.crystal",
+              "kind": args.kind, "version": 1}
+
+    def payload() -> str:
+        graph = build(args.bound)
+        return graph_to_dot(graph) if args.format == "dot" else graph_to_jsonl(graph, header)
+
+    sys.stdout.write(Cache().fetch(
+        ("export", args.kind, f"{param}{value}", f"b{args.bound}", args.format), payload))
     return EXIT_OK
 
 
@@ -130,7 +123,7 @@ def cmd_fold_cartan(args) -> int:
 
 
 def _counts_payload(e: int, bound: int) -> str:
-    table = counts_table(e, bound, mullineux_map(e, bound))
+    table = counts_table(e, bound)
     lines = [_dump({"count": count, "m": m, "mp": mp, "n": n})
              for (n, m, mp), count in sorted(table.counts.items())]
     return "\n".join(lines) + ("\n" if lines else "")
@@ -240,6 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, name in (("-e", "e"), ("--ell", "ell")):
+            value = getattr(args, name, None)
+            if value is not None and value > MAX_E:
+                raise ValueError(f"{flag} must be at most {MAX_E}, got {value}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -120,9 +120,14 @@ def unfold(lam: Partition, kind: CrystalKind, tie_break: str = "min") -> Partiti
     Expands a residue word for lam block by block and replays it by cogood
     addition from the empty partition; the result is Mullineux-fixed.
     """
+    return _unfold(lam, kind, tie_break)[1]
+
+
+def _unfold(lam: Partition, kind: CrystalKind, tie_break: str) -> tuple[tuple, Partition]:
+    """The residue word of lam and the cogood replay of its block expansion."""
     word = canonical_path_twisted(lam, kind, tie_break=tie_break)
     try:
-        return replay_path(expand_word(word, kind), kind.e)
+        return word, replay_path(expand_word(word, kind), kind.e)
     except ReplayError as exc:
         raise InternalConsistencyError(
             f"block expansion of {lam} ({kind.parity}, ell={kind.ell}) "
@@ -185,8 +190,7 @@ def check_fold_relations(lam: Partition, kind: CrystalKind) -> FoldReport:
     (even kind); the middle tallies of the odd kind agree and are even, and
     the stated size/count parities hold.
     """
-    word = canonical_path_twisted(lam, kind)
-    image = unfold(lam, kind)
+    word, image = _unfold(lam, kind, "min")
     n = sum(lam)
     counts = tuple(word.count(r) for r in range(kind.modulus))
     profile = residue_counts(image, kind.e)

@@ -34,6 +34,8 @@ def mullineux_map(e: int, max_n: int) -> dict[Partition, Partition]:
     of lam, so the lowering's per-level memo serves both steps, and each
     vertex costs one boundary scan.
     """
+    if max_n < 0:
+        raise ValueError(f"max_n must be non-negative, got {max_n}")
     lower = _cogood_lowering(e)
     images: dict[Partition, Partition] = {(): ()}
     for lam, mu, x in crystal_edges(lower, e, max_n):
@@ -56,17 +58,12 @@ class FixedPointRecord:
     residue_profile: tuple[int, ...]
 
 
-def fixed_set(e: int, n: int,
-              images: dict[Partition, Partition] | None = None) -> list[FixedPointRecord]:
-    """All Mullineux-fixed e-regular partitions of n, sorted lexicographically.
-
-    Computed by brute force over the whole of K_n; pass a precomputed
-    mullineux_map covering size n to share work across sizes.
-    """
+def fixed_set(e: int, n: int) -> list[FixedPointRecord]:
+    """All Mullineux-fixed e-regular partitions of n, sorted lexicographically,
+    by brute force over the whole of K_n."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if images is None:
-        images = mullineux_map(e, n)
+    images = mullineux_map(e, n)
     records = []
     for lam in sorted(p for p in images if sum(p) == n):
         if images[lam] == lam:

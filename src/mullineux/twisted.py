@@ -21,9 +21,9 @@ from .partitions import (
     Node,
     Partition,
     Residue,
-    StrictClass,
+    is_double_restricted_strict,
+    is_restricted_strict,
     is_strict,
-    is_strict_class,
     partitions_of,
 )
 from .typea import (
@@ -55,8 +55,8 @@ class TwistedNode:
 def in_crystal_class(lam: Partition, kind: CrystalKind) -> bool:
     """Membership in the kind's vertex class: restricted e-strict partitions
     for the odd kind, double restricted (ell+1)-strict for the even kind."""
-    cls = StrictClass.RESTRICTED if kind.is_odd else StrictClass.DOUBLE_RESTRICTED
-    return is_strict_class(lam, kind.strict_f, cls)
+    strict = is_restricted_strict if kind.is_odd else is_double_restricted_strict
+    return strict(lam, kind.strict_f)
 
 
 def class_partitions(n: int, kind: CrystalKind) -> list[Partition]:

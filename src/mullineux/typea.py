@@ -99,10 +99,15 @@ def _residue_value(x, modulus: int) -> int:
     return int(x) % modulus
 
 
-def signature_report(lam: Partition, x, e: int) -> SignatureReport:
-    """Signature of lam at residue x, with good/cogood nodes and counts."""
+def _require_regular(lam: Partition, e: int) -> None:
     if not is_e_regular(lam, e):
         raise ValueError(f"{lam} is not {e}-regular")
+
+
+def signature_report(lam: Partition, x, e: int) -> SignatureReport:
+    """Signature of lam at residue x, with good/cogood nodes and counts; the
+    reference route the kernel _good_cogood_rows is tested against."""
+    _require_regular(lam, e)
     xv = _residue_value(x, e)
     raw = tuple(pair for pair in _boundary(lam)
                 if (pair[0][1] - pair[0][0]) % e == xv)
@@ -143,14 +148,14 @@ def _add_box(lam: Partition, row: int) -> Partition | None:
 
 def remove_good(lam: Partition, x, e: int) -> Partition | None:
     """Remove the good x-node, or None when there is none."""
-    report = signature_report(lam, x, e)
-    return _remove_box(lam, report.good[0]) if report.good else None
+    _require_regular(lam, e)
+    return _remove_box(lam, _good_cogood_rows(lam, e)[0][_residue_value(x, e)])
 
 
 def add_cogood(lam: Partition, x, e: int) -> Partition | None:
     """Add the cogood x-node, or None when there is none."""
-    report = signature_report(lam, x, e)
-    return _add_box(lam, report.cogood[0]) if report.cogood else None
+    _require_regular(lam, e)
+    return _add_box(lam, _good_cogood_rows(lam, e)[1][_residue_value(x, e)])
 
 
 def _good_cogood_rows(lam: Partition, e: int) -> tuple[list[int], list[int]]:
@@ -207,8 +212,7 @@ def canonical_path(lam: Partition, e: int, tie_break: str = "min") -> tuple[int,
     Strips good nodes one at a time, always at the first residue (in
     tie_break order) that has one, and returns the reversed removal word.
     """
-    if not is_e_regular(lam, e):
-        raise ValueError(f"{lam} is not {e}-regular")
+    _require_regular(lam, e)
     return _strip_good_nodes(lam, lambda cur: _good_cogood_rows(cur, e)[0], _remove_box,
                              e, tie_break, f"{e}-regular partition")
 
@@ -240,10 +244,6 @@ class CrystalGraph:
 
     levels: tuple[tuple[Partition, ...], ...]
     edges: tuple[tuple[Partition, Partition, int], ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
 
     def level_sizes(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.levels)

@@ -9,9 +9,7 @@ from mullineux.characters import (
     rhs_from_counts,
     verify_identity,
 )
-from mullineux.involution import mullineux_map
 from mullineux.partitions import CrystalKind
-from mullineux.twisted import enumerate_twisted
 
 ODD1, ODD2 = CrystalKind.odd(1), CrystalKind.odd(2)
 EVEN1, EVEN2 = CrystalKind.even(1), CrystalKind.even(2)
@@ -94,10 +92,14 @@ def test_verify_identity_rejects_short_table():
 def test_three_way_agreement_with_precomputed_inputs():
     kind = ODD2
     degree = 5
-    images = mullineux_map(kind.e, fixed_size_bound(kind, degree))
-    table = counts_table(kind.e, fixed_size_bound(kind, degree), images)
-    graph = enumerate_twisted(kind, degree)
-    report = verify_identity(kind, degree, table=table, graph=graph)
+    table = counts_table(kind.e, fixed_size_bound(kind, degree))
+    report = verify_identity(kind, degree, table=table)
     assert report.ok
     for row in report.rows:
         assert row.lhs == row.rhs_counts == row.rhs_crystal
+
+
+def test_negative_degree_is_rejected_by_the_bound():
+    for call in (lambda: fixed_size_bound(ODD1, -1), lambda: verify_identity(EVEN1, -1)):
+        with pytest.raises(ValueError, match="max_degree must be non-negative, got -1"):
+            call()

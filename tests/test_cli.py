@@ -1,16 +1,22 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import mullineux
 from mullineux import typea
 from mullineux.cache import Cache, _digest
-from mullineux.cli import EXIT_INTERNAL, EXIT_USAGE, main
+from mullineux.cli import EXIT_INTERNAL, EXIT_USAGE, MAX_E, main
 from mullineux.export import _dump
+from mullineux.partitions import format_partition, partitions_of
 
 COMMANDS = [
     ["compute", "-e", "3", "3,1,1"],
@@ -221,6 +227,86 @@ def test_internal_error_has_its_own_exit_code(capsys, tmp_path, monkeypatch):
     assert captured.out == ""
     assert captured.err == (
         "internal error: nonempty 3-regular partition (3, 1, 1) has no good node\n")
+
+
+def test_negative_degree_is_rejected_before_the_cache(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["verify", "--kind", "odd", "--ell", "1", "--max-deg", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_degree must be non-negative, got -1\n"
+    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "-e", str(10 ** 20), "2,1"],
+    ["fixed", "-e", str(10 ** 20), "-n", "3"],
+    ["fold-cartan", "-e", str(MAX_E + 1)],
+    ["eta", "--kind", "odd", "--ell", str(10 ** 20), "2"],
+    ["verify", "--kind", "even", "--ell", str(MAX_E + 1), "--max-deg", "2"],
+    ["crystal", "export", "--kind", "typea", "-e", str(10 ** 20), "--bound", "3",
+     "--format", "dot"],
+])
+def test_e_and_ell_above_the_ceiling_are_usage_errors(args, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    flag = "-e" if "-e" in args else "--ell"
+    value = args[args.index(flag) + 1]
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be at most {MAX_E}, got {value}\n"
+    assert not (tmp_path / "cache").exists()
+
+
+def test_e_at_the_ceiling_is_accepted(capsys):
+    assert main(["compute", "-e", str(MAX_E), "2,1"]) == 0
+    assert capsys.readouterr().out == "2,1\n"
+
+
+MODULI = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 7, 10 ** 20]).map(str)
+PARTITION_TEXTS = st.one_of(
+    st.text(max_size=4),
+    st.integers(0, 6).flatmap(lambda n: st.sampled_from(list(partitions_of(n))))
+    .map(format_partition))
+
+
+@st.composite
+def argvs(draw):
+    e, ell = ["-e", draw(MODULI)], ["--ell", draw(MODULI)]
+    kind = ["--kind", draw(st.sampled_from(["odd", "even"]))]
+    n, lam = str(draw(st.integers(-1, 6))), draw(PARTITION_TEXTS)
+    argv = draw(st.sampled_from([
+        ["compute", *e, lam],
+        ["fixed", *e, "-n", n],
+        ["fixed", *e, "-n", n, "--profile"],
+        ["crystal", "export", "--kind", draw(st.sampled_from(["typea", "odd", "even"])),
+         *draw(st.sampled_from([e, ell, e + ell, []])), "--bound", n,
+         "--format", draw(st.sampled_from(["dot", "jsonl"]))],
+        ["twisted", "path", *kind, *ell, lam],
+        ["eta", *kind, *ell, lam],
+        ["eta", *kind, *ell, "--check", lam],
+        ["bijection", draw(st.sampled_from(["dp2sp", "sp2dp"])), lam],
+        ["fold-cartan", *e],
+        ["verify", *kind, *ell, "--max-deg", n],
+        ["verify", *kind, *ell, "--max-deg", n, "--json"],
+        ["alt-count", *e, "-n", n],
+    ]))
+    if draw(st.integers(0, 3)) == 0:  # now and then a token short, for argparse
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_fuzzed_argv_exits_with_a_documented_status(argv, tmp_path_factory):
+    cache = tmp_path_factory.getbasetemp() / "fuzz-cache"
+    with mock.patch.dict(os.environ, {"MULLINEUX_CACHE_DIR": str(cache)}), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
 
 
 # sha256 of each command's stdout, recorded with the 0.1.0 code.  CLI output

@@ -1,5 +1,6 @@
 import pytest
 
+from mullineux import folding
 from mullineux.folding import (
     affine_type_a_cartan,
     check_fold_relations,
@@ -127,3 +128,23 @@ def test_report_serializes():
     assert blob["ok"] is True
     assert blob["image"] == [4, 1, 1]
     assert {c["name"] for c in blob["checks"]} >= {"size_identity"}
+
+
+@pytest.mark.parametrize("kind", (ODD1, ODD2, EVEN1, EVEN2))
+def test_fold_check_strips_its_vertex_once(kind, monkeypatch):
+    calls = []
+    path = folding.canonical_path_twisted
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return path(*args, **kwargs)
+
+    for n in range(8):
+        for lam in class_partitions(n, kind):
+            image = unfold(lam, kind)
+            monkeypatch.setattr(folding, "canonical_path_twisted", counted)
+            calls.clear()
+            report = check_fold_relations(lam, kind)
+            assert len(calls) == 1, lam
+            monkeypatch.undo()
+            assert report.image == image and report.word == path(lam, kind)

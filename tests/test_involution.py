@@ -92,3 +92,8 @@ def test_fixed_counts_match_andrews_bessenrodt_olsson(e, max_n):
 @pytest.mark.parametrize("e", [4, 6])
 def test_andrews_bessenrodt_olsson_count_fails_for_even_e(e):
     assert fixed_counts(e, 24) != distinct_odd_counts(e, 24)
+
+
+def test_mullineux_map_rejects_negative_size():
+    with pytest.raises(ValueError, match="max_n must be non-negative, got -5"):
+        mullineux_map(3, -5)

@@ -214,3 +214,25 @@ def test_good_cogood_rows_match_signature_report(e):
                 report = signature_report(lam, x, e)
                 assert good[x] == (report.good[0] if report.good else 0), (lam, x)
                 assert cogood[x] == (report.cogood[0] if report.cogood else 0), (lam, x)
+
+
+@pytest.mark.parametrize("e", range(2, 8))
+def test_moves_match_signature_report(e):
+    # the production moves read the kernel; the report is the reference route
+    for n in range(13):
+        for lam in e_regular_partitions(n, e):
+            for x in range(e):
+                report = signature_report(lam, x, e)
+                cells = diagram(lam)
+                down = from_diagram(cells - {report.good}) if report.good else None
+                up = from_diagram(cells | {report.cogood}) if report.cogood else None
+                assert remove_good(lam, x, e) == down, (lam, x)
+                assert add_cogood(lam, Residue(x, e), e) == up, (lam, x)
+
+
+def test_moves_reject_irregular_and_wrong_modulus():
+    for move in (add_cogood, remove_good):
+        with pytest.raises(ValueError, match="is not 3-regular"):
+            move((1, 1, 1), 0, 3)
+        with pytest.raises(ValueError, match="residue modulus 5"):
+            move((2,), Residue(0, 5), 3)

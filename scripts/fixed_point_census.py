@@ -9,21 +9,19 @@ class whose vertices parameterize the fixed points.
 import argparse
 import time
 
-from mullineux.involution import mullineux_map, regular_count
+from mullineux.involution import _alternating_count, _image_levels, regular_count
 from mullineux.partitions import CrystalKind
 from mullineux.twisted import class_partitions
 
 
 def census(e, max_n):
-    images = mullineux_map(e, max_n)
     kind = CrystalKind.odd(e // 2) if e % 2 else CrystalKind.even(e // 2)
     print(f"\ne = {e}  (crystal: {kind.parity}, ell = {kind.ell})")
     print(f"{'n':>3} {'#regular':>9} {'#fixed':>7} {'alt-count':>10} {'#class':>7}")
-    for n in range(max_n + 1):
-        fixed = sum(1 for lam, img in images.items()
-                    if sum(lam) == n and img == lam)
+    for n, images in enumerate(_image_levels(e, max_n)):
+        fixed = sum(1 for lam, img in images.items() if img == lam)
         kn = regular_count(e, n)
-        alt = (kn + 3 * fixed) // 2
+        alt = _alternating_count(e, n, kn, fixed)
         print(f"{n:>3} {kn:>9} {fixed:>7} {alt:>10} {len(class_partitions(n, kind)):>7}")
 
 

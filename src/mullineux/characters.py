@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .involution import mullineux_map
+from .involution import _image_levels
 from .partitions import (
     CrystalKind,
     InternalConsistencyError,
@@ -68,23 +68,22 @@ class CountsTable:
 def counts_table(e: int, max_size: int) -> CountsTable:
     """Group the Mullineux-fixed partitions of every size <= max_size by
     (N_0, N_ell) with ell = e // 2, asserting the parity constraints that
-    fixed partitions are known to satisfy."""
+    fixed partitions are known to satisfy.  Reads the images one level at a
+    time, so it never holds all of K_<=max_size."""
     ell = e // 2
     counts: dict[tuple[int, int, int], int] = {}
-    for lam, image in mullineux_map(e, max_size).items():
-        if image != lam:
-            continue
-        n = sum(lam)
-        profile = residue_counts(lam, e)
-        m, mp = profile[0], profile[ell]
-        if e % 2 == 1:
-            if mp % 2 or (n - m) % 2:
+    for n, level in enumerate(_image_levels(e, max_size)):
+        for lam in (lam for lam, image in level.items() if image == lam):
+            profile = residue_counts(lam, e)
+            m, mp = profile[0], profile[ell]
+            if e % 2 == 1:
+                if mp % 2 or (n - m) % 2:
+                    raise InternalConsistencyError(
+                        f"fixed {lam} (e={e}) violates the odd-case parity constraints")
+            elif (n - m - mp) % 2:
                 raise InternalConsistencyError(
-                    f"fixed {lam} (e={e}) violates the odd-case parity constraints")
-        elif (n - m - mp) % 2:
-            raise InternalConsistencyError(
-                f"fixed {lam} (e={e}) violates the even-case parity constraint")
-        counts[(n, m, mp)] = counts.get((n, m, mp), 0) + 1
+                    f"fixed {lam} (e={e}) violates the even-case parity constraint")
+            counts[(n, m, mp)] = counts.get((n, m, mp), 0) + 1
     return CountsTable(e, ell, max_size, counts)
 
 

@@ -4,7 +4,9 @@ Output is deterministic byte-for-byte for identical invocations, with or
 without a warm cache.  Exit status: 0 on success, 1 when a verification
 command finds a failure, 2 on usage errors, 3 when an internal consistency
 check fails (a bug, reported as one `internal error:` line on stderr).
-`-e` and `--ell` above MAX_E are usage errors, rejected before any work.
+`-e` and `--ell` above MAX_E are usage errors, rejected before any work, and
+so are partition literals of more than MAX_BOXES boxes, rejected right after
+parsing (commands strip or build them one box at a time).
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 # Far above any e or ell in use; it keeps kernel lists of length e small.
 MAX_E = 1000
+# Boxes in a partition literal; the commands strip or replay it one box a step.
+MAX_BOXES = 10_000
 
 
 def _kind_from(args) -> CrystalKind:
@@ -50,8 +54,7 @@ def _fixed_payload(e: int, n: int) -> str:
 
 
 def cmd_compute(args) -> int:
-    lam = parse_partition(args.partition)
-    print(format_partition(mullineux(lam, args.e)))
+    print(format_partition(mullineux(args.partition, args.e)))
     return EXIT_OK
 
 
@@ -90,27 +93,24 @@ def cmd_crystal_export(args) -> int:
 
 def cmd_twisted_path(args) -> int:
     kind = _kind_from(args)
-    lam = parse_partition(args.partition)
-    word = canonical_path_twisted(lam, kind)
+    word = canonical_path_twisted(args.partition, kind)
     print(",".join(str(x) for x in word) if word else "-")
     return EXIT_OK
 
 
 def cmd_eta(args) -> int:
     kind = _kind_from(args)
-    lam = parse_partition(args.partition)
     if args.check:
-        report = check_fold_relations(lam, kind)
+        report = check_fold_relations(args.partition, kind)
         print(_dump(report.to_dict()))
         return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
-    print(format_partition(unfold(lam, kind)))
+    print(format_partition(unfold(args.partition, kind)))
     return EXIT_OK
 
 
 def cmd_bijection(args) -> int:
-    lam = parse_partition(args.partition)
-    image = (distinct_to_symmetric(lam) if args.direction == "dp2sp"
-             else symmetric_to_distinct(lam))
+    image = (distinct_to_symmetric(args.partition) if args.direction == "dp2sp"
+             else symmetric_to_distinct(args.partition))
     print(format_partition(image))
     return EXIT_OK
 
@@ -237,6 +237,10 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and value > MAX_E:
                 raise ValueError(f"{flag} must be at most {MAX_E}, got {value}")
+        if hasattr(args, "partition"):
+            args.partition = lam = parse_partition(args.partition)
+            if sum(lam) > MAX_BOXES:
+                raise ValueError(f"partition literal has {sum(lam)} boxes, at most {MAX_BOXES}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,28 +25,34 @@ def mullineux(lam: Partition, e: int, tie_break: str = "min") -> Partition:
     return replay_path(tuple((e - x) % e for x in word), e)
 
 
-def mullineux_map(e: int, max_n: int) -> dict[Partition, Partition]:
-    """Images of every e-regular partition of size at most max_n.
-
-    Walks the lattice once, level by level: when mu is first discovered
-    through an arrow lam -> mu of residue x, its image is the cogood
-    (-x mod e)-addition to the image of lam.  That image lies on the level
-    of lam, so the lowering's per-level memo serves both steps, and each
-    vertex costs one boundary scan.
-    """
+def _image_levels(e: int, max_n: int):
+    """The images of K_0, ..., K_max_n, one dict per level, holding only the
+    previous and the current level.  When mu is first reached by an arrow
+    lam -> mu of residue x, its image is the cogood (-x mod e)-addition to
+    the image of lam, which lies on lam's level: the lowering's per-level
+    memo serves both steps, and each vertex costs one boundary scan."""
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     lower = _cogood_lowering(e)
-    images: dict[Partition, Partition] = {(): ()}
+    prev, cur = {(): ()}, {}
     for lam, mu, x in crystal_edges(lower, e, max_n):
-        if mu in images:
-            continue
-        image = lower(images[lam], -x % e)
-        if image is None:
-            raise InternalConsistencyError(
-                f"negated word has no cogood step at {images[lam]} (e={e})")
-        images[mu] = image
-    return images
+        if lam not in prev:  # the arrows out of the next level begin
+            yield prev
+            prev, cur = cur, {}
+        if mu not in cur:
+            image = lower(prev[lam], -x % e)
+            if image is None:
+                raise InternalConsistencyError(
+                    f"negated word has no cogood step at {prev[lam]} (e={e})")
+            cur[mu] = image
+    yield prev
+    if max_n:
+        yield cur
+
+
+def mullineux_map(e: int, max_n: int) -> dict[Partition, Partition]:
+    """Images of every e-regular partition of size at most max_n."""
+    return {lam: image for level in _image_levels(e, max_n) for lam, image in level.items()}
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,12 @@ def irr_alternating_count(e: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    total = regular_count(e, n) + 3 * len(fixed_set(e, n))
+    return _alternating_count(e, n, regular_count(e, n), len(fixed_set(e, n)))
+
+
+def _alternating_count(e: int, n: int, regular: int, fixed: int) -> int:
+    """(regular + 3 * fixed) / 2 for the counts of K_n and its fixed points."""
+    total = regular + 3 * fixed
     if total % 2:
         raise InternalConsistencyError(
             f"fixed-point parity violated for e={e}, n={n}")

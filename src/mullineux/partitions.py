@@ -51,9 +51,8 @@ def format_partition(lam: Partition) -> str:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram: column j of lam becomes row j."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    return tuple(i for i in range(len(lam), 0, -1)
+                 for _ in range(lam[i - 1] - (lam[i] if i < len(lam) else 0)))
 
 
 def is_e_regular(lam: Partition, e: int) -> bool:
@@ -228,6 +227,27 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield (first,) + rest
 
 
+def _top_down(n: int, max_drop, max_run) -> list[Partition]:
+    """The partitions of n, lex-sorted, whose every part q drops by at most
+    max_drop(q) to the next (0 past the end) and repeats at most max_run(q)
+    times; built from the top, each (part, spare repeats, left) tail once."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+
+    @lru_cache(maxsize=None)
+    def tails(q: int, spare: int, left: int) -> list[Partition]:
+        if not left:
+            return [()] if q <= max_drop(q) else []
+        return [(p,) + tail
+                for p in range(max(q - max_drop(q), 1), min(q if spare else q - 1, left) + 1)
+                for tail in tails(p, spare - 1 if p == q else max_run(p) - 1, left - p)]
+    out = [(p,) + tail for p in range(1, n + 1) for tail in tails(p, max_run(p) - 1, n - p)]
+    tails.cache_clear()
+    return out if n else [()]
+
+
 def e_regular_partitions(n: int, e: int) -> list[Partition]:
     """The e-regular partitions of n, sorted lexicographically."""
-    return sorted(p for p in partitions_of(n) if is_e_regular(p, e))
+    if e < 2:
+        raise ValueError(f"e must be at least 2, got {e}")
+    return _top_down(n, lambda q: q, lambda q: e - 1)

@@ -21,10 +21,10 @@ from .partitions import (
     Node,
     Partition,
     Residue,
+    _top_down,
     is_double_restricted_strict,
     is_restricted_strict,
     is_strict,
-    partitions_of,
 )
 from .typea import (
     CrystalGraph,
@@ -60,8 +60,11 @@ def in_crystal_class(lam: Partition, kind: CrystalKind) -> bool:
 
 
 def class_partitions(n: int, kind: CrystalKind) -> list[Partition]:
-    """The class members of size n, sorted lexicographically."""
-    return sorted(p for p in partitions_of(n) if in_crystal_class(p, kind))
+    """The class members of size n, sorted lexicographically, from the class
+    rules alone: equal neighbours only on multiples of f, each drop to the
+    next part at most bound (f odd, 2f even), less one from a multiple of f."""
+    f, bound = kind.strict_f, kind.strict_f * (1 if kind.is_odd else 2)
+    return _top_down(n, lambda q: bound - (q % f == 0), lambda q: n if q % f == 0 else 1)
 
 
 def node_scan(lam: Partition, kind: CrystalKind) -> tuple[TwistedNode, ...]:
@@ -205,8 +208,8 @@ def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
     """Depths 0..max_depth of the twisted crystal with labeled edges.
 
     Depth equals box count since every lowering step adds one box.  Each
-    BFS level is cross-checked against the class predicate filter; a
-    mismatch raises instead of being silently absorbed.
+    BFS level is cross-checked against class_partitions, built from the
+    class rules alone; a mismatch raises instead of being silently absorbed.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")

@@ -306,7 +306,7 @@ def enumerate_kleshchev(e: int, max_n: int) -> CrystalGraph:
     """Levels 0..max_n of the e-good lattice with residue-labeled edges.
 
     Built by cogood addition from the empty partition; every level is then
-    cross-checked against the e-regular filter, and a mismatch raises (the
+    cross-checked against e_regular_partitions, and a mismatch raises (the
     two constructions agreeing is a correctness signal, not an assumption).
     """
     if max_n < 0:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from helpers import count_partitions_with_parts
@@ -9,6 +11,7 @@ from mullineux.characters import (
     rhs_from_counts,
     verify_identity,
 )
+from mullineux.involution import mullineux_map
 from mullineux.partitions import CrystalKind
 
 ODD1, ODD2 = CrystalKind.odd(1), CrystalKind.odd(2)
@@ -103,3 +106,20 @@ def test_negative_degree_is_rejected_by_the_bound():
     for call in (lambda: fixed_size_bound(ODD1, -1), lambda: verify_identity(EVEN1, -1)):
         with pytest.raises(ValueError, match="max_degree must be non-negative, got -1"):
             call()
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_counts_table_holds_two_levels_of_images():
+    # K_<=36 at e=3 has 20,730 vertices, its two largest levels 5,928: the
+    # table must read the images level by level, not build the whole map.
+    table_peak = traced_peak(lambda: counts_table(3, 36))
+    map_peak = traced_peak(lambda: mullineux_map(3, 36))
+    assert table_peak < 0.6 * map_peak, (table_peak, map_peak)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 import mullineux
 from mullineux import typea
 from mullineux.cache import Cache, _digest
-from mullineux.cli import EXIT_INTERNAL, EXIT_USAGE, MAX_E, main
+from mullineux.cli import EXIT_INTERNAL, EXIT_USAGE, MAX_BOXES, MAX_E, main
 from mullineux.export import _dump
 from mullineux.partitions import format_partition, partitions_of
 
@@ -263,9 +263,42 @@ def test_e_at_the_ceiling_is_accepted(capsys):
     assert capsys.readouterr().out == "2,1\n"
 
 
+# A restricted 3-strict partition (odd ell=1) of MAX_BOXES + 1 boxes.
+ODD1_MEMBER_ABOVE_CEILING = ",".join(["3"] * 3333 + ["2"])
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "-e", "2", str(MAX_BOXES + 1)],
+    ["twisted", "path", "--kind", "odd", "--ell", "1", ODD1_MEMBER_ABOVE_CEILING],
+    ["eta", "--kind", "odd", "--ell", "1", ODD1_MEMBER_ABOVE_CEILING],
+    ["eta", "--kind", "odd", "--ell", "1", "--check", ODD1_MEMBER_ABOVE_CEILING],
+    ["bijection", "dp2sp", str(MAX_BOXES + 1)],
+    ["bijection", "sp2dp", ",".join(["5001"] + ["1"] * 5000)],
+], ids=lambda args: " ".join(args[:-1]))
+def test_partition_literals_above_the_ceiling_are_usage_errors(args, capsys, tmp_path,
+                                                               monkeypatch):
+    # Each literal is in its command's domain and has MAX_BOXES + 1 boxes.
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: partition literal has {MAX_BOXES + 1} boxes, at most {MAX_BOXES}\n")
+
+
+def test_partition_literals_at_the_ceiling_are_accepted(capsys):
+    assert main(["compute", "-e", "2", str(MAX_BOXES)]) == 0
+    assert capsys.readouterr().out == f"{MAX_BOXES}\n"
+    assert main(["bijection", "dp2sp", str(MAX_BOXES)]) == 0
+    assert capsys.readouterr().out == ",".join([str(MAX_BOXES)] + ["1"] * (MAX_BOXES - 1)) + "\n"
+    assert main(["bijection", "sp2dp", ",".join(["5000"] + ["1"] * 4999)]) == 0
+    assert capsys.readouterr().out == "5000\n"
+
+
 MODULI = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 7, 10 ** 20]).map(str)
 PARTITION_TEXTS = st.one_of(
     st.text(max_size=4),
+    st.just(str(MAX_BOXES + 1)),
     st.integers(0, 6).flatmap(lambda n: st.sampled_from(list(partitions_of(n))))
     .map(format_partition))
 
@@ -386,3 +419,9 @@ def test_identity_scan_script_passes(tmp_path):
 def test_fixed_point_census_script_runs(tmp_path):
     run = run_script("fixed_point_census.py", ["-e", "3", "--max-n", "8"], tmp_path)
     assert run.returncode == 0, run.stderr
+    # Recorded before the script read its counts from the library; the last
+    # line is the wall time.
+    lines = run.stdout.splitlines(keepends=True)
+    assert lines[-1].startswith("total time: ")
+    assert hashlib.sha256("".join(lines[:-1]).encode()).hexdigest() == (
+        "a59ef618e1a31a456dee43a99202b9047db7f2690bbe24e976b6993c26c362b5")

@@ -2,6 +2,7 @@ import pytest
 from helpers import distinct_odd_counts
 
 from mullineux.involution import (
+    _image_levels,
     fixed_set,
     irr_alternating_count,
     mullineux,
@@ -97,3 +98,12 @@ def test_andrews_bessenrodt_olsson_count_fails_for_even_e(e):
 def test_mullineux_map_rejects_negative_size():
     with pytest.raises(ValueError, match="max_n must be non-negative, got -5"):
         mullineux_map(3, -5)
+
+
+@pytest.mark.parametrize("e", range(2, 8))
+def test_image_levels_concatenate_to_the_map(e):
+    levels = list(_image_levels(e, 12))
+    assert [sorted(level) for level in levels] == [e_regular_partitions(n, e) for n in range(13)]
+    merged = [item for level in levels for item in level.items()]
+    assert merged == list(mullineux_map(e, 12).items())
+    assert list(_image_levels(e, 0)) == [{(): ()}]

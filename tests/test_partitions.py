@@ -144,3 +144,22 @@ def test_partition_enumeration_matches_oracle():
         assert sorted(partitions_of(n)) == sorted(all_partitions(n))
     assert e_regular_partitions(2, 3) == [(1, 1), (2,)]
     assert e_regular_partitions(4, 2) == [(3, 1), (4,)]
+
+
+@pytest.mark.parametrize("e", range(2, 8))
+def test_e_regular_partitions_match_the_filter(e):
+    for n in range(21):
+        assert e_regular_partitions(n, e) == sorted(
+            lam for lam in partitions_of(n) if is_e_regular(lam, e)), (n, e)
+
+
+def test_e_regular_partitions_edge_cases():
+    assert e_regular_partitions(0, 3) == [()]
+    for e in (1, 0, -2):
+        with pytest.raises(ValueError, match="e must be at least 2"):
+            e_regular_partitions(4, e)
+    with pytest.raises(ValueError, match="e must be at least 2"):
+        e_regular_partitions(0, 1)
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        e_regular_partitions(-1, 3)
+

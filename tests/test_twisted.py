@@ -7,7 +7,10 @@ from mullineux.partitions import (
     CrystalKind,
     InternalConsistencyError,
     Residue,
+    is_double_restricted_strict,
+    is_restricted_strict,
     is_strict,
+    partitions_of,
     residue_twisted,
 )
 from mullineux.twisted import (
@@ -238,3 +241,19 @@ def test_good_cogood_rows_match_signature_report(kind):
                 report = signature_report_twisted(lam, i, kind)
                 assert good[i] == (report.good.node[0] if report.good else 0), (lam, i)
                 assert cogood[i] == (report.cogood.node[0] if report.cogood else 0), (lam, i)
+
+
+@pytest.mark.parametrize("kind", [CrystalKind(parity, ell) for parity in ("odd", "even")
+                                  for ell in (1, 2, 3)], ids=str)
+def test_class_partitions_match_the_predicates(kind):
+    member = is_restricted_strict if kind.is_odd else is_double_restricted_strict
+    for n in range(25):
+        assert class_partitions(n, kind) == sorted(
+            lam for lam in partitions_of(n) if member(lam, kind.strict_f)), n
+
+
+def test_class_partitions_edge_cases():
+    assert class_partitions(0, ODD1) == [()]
+    assert class_partitions(0, EVEN1) == [()]
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        class_partitions(-1, ODD1)

@@ -5,8 +5,8 @@ without a warm cache.  Exit status: 0 on success, 1 when a verification
 command finds a failure, 2 on usage errors, 3 when an internal consistency
 check fails (a bug, reported as one `internal error:` line on stderr).
 `-e` and `--ell` above MAX_E are usage errors, rejected before any work, and
-so are partition literals of more than MAX_BOXES boxes, rejected right after
-parsing (commands strip or build them one box at a time).
+so are sizes above MAX_BOXES boxes: `-n`, `--bound`, the fixed size bound of
+`verify --max-deg` and partition literals (stripped or built box by box).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 # Far above any e or ell in use; it keeps kernel lists of length e small.
 MAX_E = 1000
-# Boxes in a partition literal; the commands strip or replay it one box a step.
+# Boxes in a partition literal, and the largest size a command may build.
 MAX_BOXES = 10_000
 
 
@@ -140,6 +140,8 @@ def _table_from_payload(e: int, bound: int, payload: str) -> CountsTable:
 def cmd_verify(args) -> int:
     kind = _kind_from(args)
     bound = fixed_size_bound(kind, args.max_deg)
+    if bound > MAX_BOXES:
+        raise ValueError(f"--max-deg {args.max_deg} needs sizes to {bound}, at most {MAX_BOXES}")
     cache = Cache()
     payload = cache.fetch(("counts", f"e{kind.e}", f"s{bound}"),
                           lambda: _counts_payload(kind.e, bound))
@@ -233,10 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag, name in (("-e", "e"), ("--ell", "ell")):
+        for flag, name, ceiling in (("-e", "e", MAX_E), ("--ell", "ell", MAX_E),
+                                    ("-n", "n", MAX_BOXES), ("--bound", "bound", MAX_BOXES)):
             value = getattr(args, name, None)
-            if value is not None and value > MAX_E:
-                raise ValueError(f"{flag} must be at most {MAX_E}, got {value}")
+            if value is not None and value > ceiling:
+                raise ValueError(f"{flag} must be at most {ceiling}, got {value}")
         if hasattr(args, "partition"):
             args.partition = lam = parse_partition(args.partition)
             if sum(lam) > MAX_BOXES:

@@ -114,7 +114,7 @@ def _scan(lam: Partition, kind: CrystalKind) -> list[tuple[Node, str, int]]:
 def _good_cogood_rows(lam: Partition, kind: CrystalKind) -> list[list[int]]:
     """Rows of the good and of the cogood i-node for every residue i (0 when
     there is none), from one node scan of a class member, selected as in
-    typea._good_cogood_rows; the good node must be R1, the cogood node A1."""
+    typea._normal_conormal_rows; the good node must be R1, the cogood node A1."""
     m = kind.modulus
     good, cogood, pending = [None] * m, [None] * m, [0] * m
     for entry in _scan(lam, kind):
@@ -214,4 +214,5 @@ def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     return _crystal_graph(_f_lowering(kind), kind.modulus, max_depth,
-                          lambda n: class_partitions(n, kind), f"{kind.parity} ell={kind.ell}")
+                          lambda n: class_partitions(n, kind),
+                          f"class_partitions at {kind.parity} ell={kind.ell}")

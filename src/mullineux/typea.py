@@ -106,7 +106,7 @@ def _require_regular(lam: Partition, e: int) -> None:
 
 def signature_report(lam: Partition, x, e: int) -> SignatureReport:
     """Signature of lam at residue x, with good/cogood nodes and counts; the
-    reference route the kernel _good_cogood_rows is tested against."""
+    reference route the kernel _normal_conormal_rows is tested against."""
     _require_regular(lam, e)
     xv = _residue_value(x, e)
     raw = tuple(pair for pair in _boundary(lam)
@@ -149,52 +149,52 @@ def _add_box(lam: Partition, row: int) -> Partition | None:
 def remove_good(lam: Partition, x, e: int) -> Partition | None:
     """Remove the good x-node, or None when there is none."""
     _require_regular(lam, e)
-    return _remove_box(lam, _good_cogood_rows(lam, e)[0][_residue_value(x, e)])
+    normal = _normal_conormal_rows(lam, e)[0][_residue_value(x, e)]
+    return _remove_box(lam, normal[-1] if normal else 0)
 
 
 def add_cogood(lam: Partition, x, e: int) -> Partition | None:
     """Add the cogood x-node, or None when there is none."""
     _require_regular(lam, e)
-    return _add_box(lam, _good_cogood_rows(lam, e)[1][_residue_value(x, e)])
+    conormal = _normal_conormal_rows(lam, e)[1][_residue_value(x, e)]
+    return _add_box(lam, conormal[0] if conormal else 0)
 
 
-def _good_cogood_rows(lam: Partition, e: int) -> tuple[list[int], list[int]]:
-    """Rows of the good and of the cogood x-node for every residue x (0 for
-    none), in one top-down pass over the boundary that keeps a count of
-    pending A's per residue.  Unchecked: lam e-regular, e >= 2."""
-    good, cogood, pending = [0] * e, [0] * e, [0] * e
-    above = -1
+def _normal_conormal_rows(lam: Partition, e: int) -> tuple[list[tuple], list[tuple]]:
+    """Rows of every normal and every conormal x-node for each residue x, top
+    down, in one pass with a stack of pending A rows per residue: an R cancels
+    the latest or is normal, the A's left are conormal.  Unchecked: lam e-regular."""
+    normal, pending, above = [()] * e, [()] * e, -1
     for row, (part, below) in enumerate(zip(lam + (0,), lam[1:] + (0, 0)), start=1):
         if part > below:
             x = (part - row) % e
             if pending[x]:
-                pending[x] -= 1
+                pending[x] = pending[x][:-1]
             else:
-                good[x] = row
+                normal[x] += (row,)
         if above != part:
-            x = (part + 1 - row) % e
-            if not pending[x]:
-                cogood[x] = row
-            pending[x] += 1
+            pending[(part + 1 - row) % e] += (row,)
         above = part
-    return good, [row if count else 0 for row, count in zip(cogood, pending)]
+    return normal, pending
 
 
 def good_nodes(lam: Partition, e: int) -> list[Node | None]:
     """Good node for every residue, from a single boundary scan."""
-    return [(row, lam[row - 1]) if row else None
-            for row in _good_cogood_rows(lam, e)[0]]
+    return [(rows[-1], lam[rows[-1] - 1]) if rows else None
+            for rows in _normal_conormal_rows(lam, e)[0]]
+
+
+def _residue_order(modulus: int, tie_break: str) -> range:
+    if tie_break not in ("min", "max"):
+        raise ValueError(f"tie_break must be 'min' or 'max', got {tie_break!r}")
+    return range(modulus) if tie_break == "min" else range(modulus - 1, -1, -1)
 
 
 def _strip_good_nodes(lam: Partition, good_rows, remove, modulus: int,
                       tie_break: str, label: str) -> tuple[int, ...]:
-    """The reversed word of residues at which remove(cur, row) strips lam,
-    always at the first residue in tie_break order with a good_rows(cur)."""
-    if tie_break not in ("min", "max"):
-        raise ValueError(f"tie_break must be 'min' or 'max', got {tie_break!r}")
-    order = range(modulus) if tie_break == "min" else range(modulus - 1, -1, -1)
-    word = []
-    cur = lam
+    """The reversed word of residues at which remove(cur, good_rows(cur)[x])
+    strips lam, always at the first x in tie_break order with a good node."""
+    order, word, cur = _residue_order(modulus, tie_break), [], lam
     while cur:
         rows = good_rows(cur)
         x = next((x for x in order if rows[x]), None)
@@ -213,7 +213,8 @@ def canonical_path(lam: Partition, e: int, tie_break: str = "min") -> tuple[int,
     tie_break order) that has one, and returns the reversed removal word.
     """
     _require_regular(lam, e)
-    return _strip_good_nodes(lam, lambda cur: _good_cogood_rows(cur, e)[0], _remove_box,
+    return _strip_good_nodes(lam, lambda cur: _normal_conormal_rows(cur, e)[0],
+                             lambda cur, rows: _remove_box(cur, rows[-1]),
                              e, tie_break, f"{e}-regular partition")
 
 
@@ -284,12 +285,13 @@ def _cogood_lowering(e: int):
     """_lowering by cogood addition in the e-good lattice."""
     if e < 2:
         raise ValueError(f"e must be at least 2, got {e}")
-    return _lowering(lambda lam: _good_cogood_rows(lam, e)[1], _add_box)
+    return _lowering(lambda lam: [rows[0] if rows else 0  # the cogood rows, 0 for none
+                                  for rows in _normal_conormal_rows(lam, e)[1]], _add_box)
 
 
 def _crystal_graph(lower, modulus: int, depth: int, expected, label: str) -> CrystalGraph:
     """Graph of crystal_edges(lower, modulus, depth); a level n >= 1 that
-    differs from expected(n) raises, naming the level and the kind's label."""
+    differs from expected(n) raises, naming the level and the label."""
     edges = tuple(crystal_edges(lower, modulus, depth))
     reached: list[set[Partition]] = [{()}] + [set() for _ in range(depth)]
     for _, mu, _ in edges:
@@ -298,7 +300,7 @@ def _crystal_graph(lower, modulus: int, depth: int, expected, label: str) -> Cry
     for n in range(1, depth + 1):
         if levels[n] != expected(n):
             raise InternalConsistencyError(
-                f"{label} level {n}: reachable set differs from the vertex filter")
+                f"level {n}: reachable set differs from {label}")
     return CrystalGraph(tuple(map(tuple, levels)), edges)
 
 
@@ -312,4 +314,4 @@ def enumerate_kleshchev(e: int, max_n: int) -> CrystalGraph:
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     return _crystal_graph(_cogood_lowering(e), e, max_n,
-                          lambda n: e_regular_partitions(n, e), f"e={e}")
+                          lambda n: e_regular_partitions(n, e), f"e_regular_partitions at e={e}")

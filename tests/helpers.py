@@ -1,4 +1,4 @@
-"""Independent oracles shared across test modules.
+"""Independent oracles and inputs shared across test modules.
 
 Everything here recomputes facts from first principles (cell sets, iterated
 string deletion, direct recursive counting) so the library is checked
@@ -6,6 +6,9 @@ against a second route, not against itself.
 """
 
 from __future__ import annotations
+
+import random
+import tracemalloc
 
 
 def all_partitions(n, max_part=None):
@@ -105,3 +108,37 @@ def distinct_odd_counts(e, max_n):
             for n in range(max_n, part - 1, -1):
                 counts[n] += counts[n - part]
     return counts
+
+
+def random_e_regular_partitions(e, count, min_size, max_size, seed):
+    """count seeded e-regular partitions, sizes uniform in min_size..max_size,
+    drawn part by part below a log-uniform width, each at most a random drop
+    below the largest it may be (no part value e times); a draw that runs
+    out of room starts over."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        left, parts = rng.randint(min_size, max_size), []
+        width = min(left, round(left ** rng.random()))  # log-uniform
+        drop = rng.randint(0, width)
+        while left:
+            top = min(left, parts[-1] if parts else width)
+            if parts[-(e - 1):] == [top] * (e - 1):
+                top -= 1
+            if top < 1:
+                break
+            parts.append(rng.randint(max(1, top - drop), top))
+            left -= parts[-1]
+        if not left:
+            out.append(tuple(parts))
+    return out
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,8 +1,6 @@
-import tracemalloc
-
 import pytest
 
-from helpers import count_partitions_with_parts
+from helpers import count_partitions_with_parts, traced_peak
 
 from mullineux.characters import (
     character_series,
@@ -106,15 +104,6 @@ def test_negative_degree_is_rejected_by_the_bound():
     for call in (lambda: fixed_size_bound(ODD1, -1), lambda: verify_identity(EVEN1, -1)):
         with pytest.raises(ValueError, match="max_degree must be non-negative, got -1"):
             call()
-
-
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_counts_table_holds_two_levels_of_images():

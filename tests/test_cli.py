@@ -220,13 +220,25 @@ def test_unversioned_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch):
 
 def test_internal_error_has_its_own_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
-    # a kernel that finds no good node on a nonempty partition
-    monkeypatch.setattr(typea, "_good_cogood_rows", lambda lam, e: ([0] * e, [0] * e))
+    # a kernel that finds no normal node on a nonempty partition
+    monkeypatch.setattr(typea, "_normal_conormal_rows", lambda lam, e: ([()] * e, [()] * e))
     assert main(["compute", "-e", "3", "3,1,1"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "internal error: nonempty 3-regular partition (3, 1, 1) has no good node\n")
+
+
+def test_short_replay_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    # a kernel that finds every normal node but no conormal node
+    kernel = typea._normal_conormal_rows
+    monkeypatch.setattr(typea, "_normal_conormal_rows",
+                        lambda lam, e: (kernel(lam, e)[0], [()] * e))
+    assert main(["compute", "-e", "3", "3,1,1"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: negated word has no cogood step at () (e=3)\n"
 
 
 def test_negative_degree_is_rejected_before_the_cache(capsys, tmp_path, monkeypatch):
@@ -255,6 +267,39 @@ def test_e_and_ell_above_the_ceiling_are_usage_errors(args, capsys, tmp_path, mo
     value = args[args.index(flag) + 1]
     assert captured.out == ""
     assert captured.err == f"error: {flag} must be at most {MAX_E}, got {value}\n"
+    assert not (tmp_path / "cache").exists()
+
+
+SIZES_ABOVE_THE_CEILING = [
+    (["fixed", "-e", "3", "-n", str(MAX_BOXES + 1)],
+     f"-n must be at most {MAX_BOXES}, got 10001"),
+    (["fixed", "-e", "3", "-n", str(10 ** 20), "--profile"],
+     f"-n must be at most {MAX_BOXES}, got {10 ** 20}"),
+    (["alt-count", "-e", "5", "-n", str(MAX_BOXES + 1)],
+     f"-n must be at most {MAX_BOXES}, got 10001"),
+    (["crystal", "export", "--kind", "typea", "-e", "3", "--bound", str(MAX_BOXES + 1),
+      "--format", "dot"], f"--bound must be at most {MAX_BOXES}, got 10001"),
+    (["crystal", "export", "--kind", "odd", "--ell", "1", "--bound", str(10 ** 20),
+      "--format", "jsonl"], f"--bound must be at most {MAX_BOXES}, got {10 ** 20}"),
+    (["verify", "--kind", "odd", "--ell", "1", "--max-deg", "2501"],
+     f"--max-deg 2501 needs sizes to 10004, at most {MAX_BOXES}"),
+    (["verify", "--kind", "even", "--ell", "2", "--max-deg", "5001", "--json"],
+     f"--max-deg 5001 needs sizes to 10002, at most {MAX_BOXES}"),
+    (["verify", "--kind", "odd", "--ell", "3", "--max-deg", str(10 ** 20)],
+     f"--max-deg {10 ** 20} needs sizes to {4 * 10 ** 20}, at most {MAX_BOXES}"),
+]
+
+
+@pytest.mark.parametrize("args, message", SIZES_ABOVE_THE_CEILING,
+                         ids=[" ".join(args) for args, _ in SIZES_ABOVE_THE_CEILING])
+def test_sizes_above_the_ceiling_are_usage_errors(args, message, capsys, tmp_path,
+                                                  monkeypatch):
+    # Rejected before any work: each would otherwise start a BFS of hours.
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "cache").exists()
 
 

@@ -1,5 +1,5 @@
 import pytest
-from helpers import distinct_odd_counts
+from helpers import distinct_odd_counts, random_e_regular_partitions, traced_peak
 
 from mullineux.involution import (
     _image_levels,
@@ -10,6 +10,7 @@ from mullineux.involution import (
     regular_count,
 )
 from mullineux.partitions import conjugate, e_regular_partitions
+from mullineux.typea import canonical_path, replay_path
 
 
 def test_spot_images():
@@ -35,6 +36,27 @@ def test_small_sizes_degenerate_to_conjugate(e):
     for n in range(e):
         for lam in e_regular_partitions(n, e):
             assert mullineux(lam, e) == conjugate(lam)
+
+
+def box_route(lam, e, tie_break):
+    """The reference: strip lam one good node at a time, then replay the
+    negated reversed word one cogood node at a time."""
+    word = canonical_path(lam, e, tie_break=tie_break)
+    return replay_path(tuple(-x % e for x in word), e)
+
+
+@pytest.mark.parametrize("e", range(2, 8))
+def test_string_route_matches_the_box_route(e):
+    small = [lam for n in range(17) for lam in e_regular_partitions(n, e)]
+    large = random_e_regular_partitions(e, 500, 40, 60, seed=e)
+    for lam in small + large:
+        for tie_break in ("min", "max"):
+            assert mullineux(lam, e, tie_break) == box_route(lam, e, tie_break), (lam, tie_break)
+
+
+def test_mullineux_rejects_a_bad_tie_break():
+    with pytest.raises(ValueError, match="tie_break must be 'min' or 'max', got 'mid'"):
+        mullineux((2, 1), 3, tie_break="mid")
 
 
 def test_e2_is_identity():
@@ -67,6 +89,13 @@ def test_nonfixed_partitions_pair_up(e):
     for n in range(11):
         kn = regular_count(e, n)
         assert (kn - len(fixed_set(e, n))) % 2 == 0
+
+
+def test_fixed_set_holds_two_levels_of_images():
+    # fixed_set reads level n of the image stream, not the whole of K_<=n.
+    fixed_peak = traced_peak(lambda: fixed_set(3, 36))
+    map_peak = traced_peak(lambda: mullineux_map(3, 36))
+    assert fixed_peak < 0.6 * map_peak, (fixed_peak, map_peak)
 
 
 def test_irr_alternating_count():

@@ -187,8 +187,10 @@ def test_enumerate_kleshchev_cross_check_fires(monkeypatch):
         level = e_regular_partitions(n, e)
         return level[1:] if n == 4 else level
     monkeypatch.setattr(typea, "e_regular_partitions", short_level_4)
-    with pytest.raises(InternalConsistencyError, match="e=3 level 4"):
+    with pytest.raises(InternalConsistencyError) as excinfo:
         enumerate_kleshchev(3, 6)
+    assert str(excinfo.value) == (
+        "level 4: reachable set differs from e_regular_partitions at e=3")
 
 
 def test_enumerate_kleshchev_edges_are_good_node_arrows():
@@ -204,16 +206,20 @@ def test_enumerate_kleshchev_edges_are_good_node_arrows():
 
 @pytest.mark.parametrize("e", range(2, 8))
 def test_good_cogood_rows_match_signature_report(e):
-    # the one-pass kernel against the report built by sort and cancellation
+    # the one-pass list kernel against the report built by sort and
+    # cancellation: every normal and every conormal row, top down; and
+    # good_nodes, which reads the last normal row
     for n in range(15):
         for lam in all_partitions(n):
             if not is_e_regular(lam, e):
                 continue
-            good, cogood = typea._good_cogood_rows(lam, e)
+            normal, conormal = typea._normal_conormal_rows(lam, e)
+            good = good_nodes(lam, e)
             for x in range(e):
                 report = signature_report(lam, x, e)
-                assert good[x] == (report.good[0] if report.good else 0), (lam, x)
-                assert cogood[x] == (report.cogood[0] if report.cogood else 0), (lam, x)
+                assert normal[x] == tuple(row for row, _ in report.normal), (lam, x)
+                assert conormal[x] == tuple(row for row, _ in report.conormal), (lam, x)
+                assert good[x] == report.good, (lam, x)
 
 
 @pytest.mark.parametrize("e", range(2, 8))

@@ -3,8 +3,8 @@
 Both identities equate three independent counts, degree by degree: the
 coefficient of a pure product series over odd exponents, the number of
 twisted-crystal vertices at that depth, and a signed-index sum over
-Mullineux-fixed partitions grouped by two residue tallies.  Everything is
-plain integer arithmetic; nothing is floating point.
+Mullineux-fixed partitions (built from their symbols) grouped by two residue
+tallies.  Everything is plain integer arithmetic; nothing is floating point.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .involution import _image_levels
+from .involution import _fixed_levels
 from .partitions import (
     CrystalKind,
     InternalConsistencyError,
@@ -68,12 +68,12 @@ class CountsTable:
 def counts_table(e: int, max_size: int) -> CountsTable:
     """Group the Mullineux-fixed partitions of every size <= max_size by
     (N_0, N_ell) with ell = e // 2, asserting the parity constraints that
-    fixed partitions are known to satisfy.  Reads the images one level at a
-    time, so it never holds all of K_<=max_size."""
+    fixed partitions are known to satisfy.  The fixed partitions come from
+    their Mullineux symbols, level by level; the crystal is not walked."""
     ell = e // 2
     counts: dict[tuple[int, int, int], int] = {}
-    for n, level in enumerate(_image_levels(e, max_size)):
-        for lam in (lam for lam, image in level.items() if image == lam):
+    for n, level in enumerate(_fixed_levels(e, max_size)):
+        for lam in level:
             profile = residue_counts(lam, e)
             m, mp = profile[0], profile[ell]
             if e % 2 == 1:

@@ -6,6 +6,11 @@ residues negated mod e.  A step takes all k normal x-nodes of each x that is
 not adjacent (+-1 mod e) to one taken before; its replay, the first k conormal
 (-x)-nodes.  Moving an x-node changes only the signatures of x - 1, x and
 x + 1, and negation keeps residues non-adjacent, so a step's strings commute.
+
+The fixed points come from Mullineux's symbol, without the crystal: peeling
+e-rims gives columns (a_i, r_i) (rim size, rows), which the involution maps to
+(a_i, a_i - r_i + eps_i), eps_i = 0 if e | a_i and 1 otherwise (Ford-Kleshchev
+1997).  `mullineux_map`, over all of K_<=n, is the tests' reference for them.
 """
 
 from __future__ import annotations
@@ -85,20 +90,91 @@ class FixedPointRecord:
     residue_profile: tuple[int, ...]
 
 
+def _rim_parent(mu: Partition, r: int, a: int, e: int) -> Partition | None:
+    """The e-regular lam with r rows whose e-rim has a nodes and leaves mu, or
+    None (the symbol determines lam, so there is at most one).  Top down, an
+    e-segment enters each row at its last node and takes the row's whole rim
+    unless it ends there, which forces the next part to mu_i + 1; the row
+    after a segment end is free up to mu_i + 1, and only it branches.  A short
+    last segment must empty the last row."""
+    m = mu + (0,) * (r - len(mu))
+    lam: list[int] = []
+
+    def segment(i: int, left: int, run: int) -> bool:
+        # a segment starts at row i; left: nodes to place; run: repeats of lam[i - 1]
+        for part in range(min(m[i - 1] + 1 if i else m[0] + e, m[i] + e), m[i], -1):
+            del lam[i:]
+            j, used, k, runs = i, 0, left, run
+            while True:
+                d = part - m[j]
+                runs = runs + 1 if j and part == lam[-1] else 1
+                if d > e - used or runs == e or k - d < r - j - 1:
+                    break
+                lam.append(part)
+                k, used = k - d, used + d
+                if j == r - 1:
+                    if not k and (used == e or not m[j]):
+                        return True
+                    break
+                if used == e:
+                    if segment(j + 1, k, runs):
+                        return True
+                    break
+                j, part = j + 1, m[j] + 1
+        return False
+
+    return tuple(lam) if segment(0, a, 0) else None
+
+
+def _fixed_levels(e: int, max_n: int):
+    """The Mullineux-fixed partitions of sizes 0..max_n, a list per size in no
+    set order, yielded once complete.  lam is fixed iff 2 r_i = a_i + eps_i in
+    every symbol column, so peeling its e-rim leaves a fixed mu, takes
+    a = 2r - 1 (e not dividing a) or 2r (e dividing a) nodes, and r <= len(mu)
+    + e, as rows past len(mu) + 1 are 1s: each level is the rim parents of
+    smaller ones.  It holds the level in hand and those not yet yielded."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be non-negative, got {max_n}")
+    if e < 2:
+        raise ValueError(f"e must be at least 2, got {e}")
+    if e == 2:  # the identity at e = 2: K_n is the level, listed faster than the walk
+        yield from (e_regular_partitions(n, 2) for n in range(max_n + 1))
+        return
+    ahead = [[()]] + [[] for _ in range(max_n)]
+    for size in range(max_n + 1):
+        level, ahead[size] = ahead[size], []
+        yield level
+        for mu in level:
+            for r in range(max(len(mu), 1), min(len(mu) + e, (max_n - size + 1) // 2) + 1):
+                for a in (2 * r - 1, 2 * r):
+                    if size + a <= max_n and (a % e == 0) == (a % 2 == 0):
+                        lam = _rim_parent(mu, r, a, e)
+                        if lam is not None:
+                            ahead[size + a].append(lam)
+
+
 def fixed_set(e: int, n: int) -> list[FixedPointRecord]:
-    """All Mullineux-fixed e-regular partitions of n, sorted lexicographically,
-    by brute force over K_n, holding two levels of images at a time."""
+    """All Mullineux-fixed e-regular partitions of n, sorted lexicographically."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    for images in _image_levels(e, n):
-        pass  # keep only the last level, K_n
-    return [FixedPointRecord(lam, n, residue_counts(lam, e))
-            for lam in sorted(images) if images[lam] == lam]
+    for level in _fixed_levels(e, n):
+        pass  # keep only the last level
+    return [FixedPointRecord(lam, n, residue_counts(lam, e)) for lam in sorted(level)]
 
 
 def regular_count(e: int, n: int) -> int:
-    """Number of e-regular partitions of n."""
-    return len(e_regular_partitions(n, e))
+    """Number of e-regular partitions of n: the q^n coefficient of
+    prod (1 - q^(ek)) / (1 - q^k) = prod over e not dividing k of 1 / (1 - q^k)."""
+    if e < 2:
+        raise ValueError(f"e must be at least 2, got {e}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    coeffs = [1] + [0] * n
+    for k in range(1, n + 1):
+        if k % e:
+            for d in range(k, n + 1):
+                coeffs[d] += coeffs[d - k]
+    return coeffs[n]
 
 
 def irr_alternating_count(e: int, n: int) -> int:

@@ -8,7 +8,6 @@ against a second route, not against itself.
 from __future__ import annotations
 
 import random
-import tracemalloc
 
 
 def all_partitions(n, max_part=None):
@@ -134,11 +133,56 @@ def random_e_regular_partitions(e, count, min_size, max_size, seed):
     return out
 
 
-def traced_peak(call):
-    """Peak bytes tracemalloc sees while call() runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def is_regular(lam, e):
+    """No part value occurs e times."""
+    return all(lam.count(part) < e for part in set(lam))
+
+
+def e_rim(cells, e):
+    """The e-rim of a diagram: walk the rim (cells with no cell down-right of
+    them) from the top right, left along a row until a cell lies below, then
+    down.  Each e-segment takes up to e cells of that walk; the next segment
+    starts at the last cell of the row below the one the segment ended in."""
+    ends = {}
+    for r, c in cells:
+        ends[r] = max(ends.get(r, 0), c)
+    rim, start = set(), (1, ends[1])
+    while start:
+        cell = start
+        for _ in range(e):
+            rim.add(cell)
+            last, (r, c) = cell, cell
+            cell = (r + 1, c) if (r + 1, c) in cells else (r, c - 1) if c > 1 else None
+            if cell is None:
+                break
+        below = last[0] + 1
+        start = (below, ends[below]) if below in ends else None
+    return rim
+
+
+def mullineux_symbol(lam, e):
+    """Mullineux's symbol: peel e-rims off the diagram, one column (rim size,
+    rows) per peel."""
+    cells, columns = diagram(lam), []
+    while cells:
+        rim = e_rim(cells, e)
+        columns.append((len(rim), max(r for r, _ in cells)))
+        cells -= rim
+    return columns
+
+
+def mullineux_on_symbol(columns, e):
+    """The involution on symbols: (a, r) -> (a, a - r + eps), eps = 0 when e
+    divides a and 1 otherwise (Mullineux's conjecture, Ford-Kleshchev 1997)."""
+    return [(a, a - r + (1 if a % e else 0)) for a, r in columns]
+
+
+def forbid_crystal(monkeypatch):
+    """Make every walk of the type A crystal, and every boundary scan, raise."""
+    from mullineux import involution, typea
+
+    def refuse(*args):
+        raise AssertionError("the crystal was walked")
+    monkeypatch.setattr(typea, "crystal_edges", refuse)
+    monkeypatch.setattr(involution, "crystal_edges", refuse)
+    monkeypatch.setattr(typea, "_normal_conormal_rows", refuse)

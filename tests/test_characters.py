@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import count_partitions_with_parts, traced_peak
+from helpers import count_partitions_with_parts, forbid_crystal
 
 from mullineux.characters import (
     character_series,
@@ -10,7 +10,7 @@ from mullineux.characters import (
     verify_identity,
 )
 from mullineux.involution import mullineux_map
-from mullineux.partitions import CrystalKind
+from mullineux.partitions import CrystalKind, residue_counts
 
 ODD1, ODD2 = CrystalKind.odd(1), CrystalKind.odd(2)
 EVEN1, EVEN2 = CrystalKind.even(1), CrystalKind.even(2)
@@ -106,9 +106,17 @@ def test_negative_degree_is_rejected_by_the_bound():
             call()
 
 
-def test_counts_table_holds_two_levels_of_images():
-    # K_<=36 at e=3 has 20,730 vertices, its two largest levels 5,928: the
-    # table must read the images level by level, not build the whole map.
-    table_peak = traced_peak(lambda: counts_table(3, 36))
-    map_peak = traced_peak(lambda: mullineux_map(3, 36))
-    assert table_peak < 0.6 * map_peak, (table_peak, map_peak)
+def test_counts_table_never_walks_the_crystal(monkeypatch):
+    # The table groups the fixed points of the brute-force map, which the
+    # table's own route never builds.
+    expected = {}
+    for e in (2, 3, 4, 5):
+        counts = expected[e] = {}
+        for lam, image in mullineux_map(e, 28).items():
+            if image == lam:
+                profile = residue_counts(lam, e)
+                key = (sum(lam), profile[0], profile[e // 2])
+                counts[key] = counts.get(key, 0) + 1
+    forbid_crystal(monkeypatch)
+    for e, counts in expected.items():
+        assert counts_table(e, 28).counts == counts

@@ -1,7 +1,21 @@
 import pytest
-from helpers import distinct_odd_counts, random_e_regular_partitions, traced_peak
+from helpers import (
+    all_partitions,
+    diagram,
+    distinct_odd_counts,
+    e_rim,
+    forbid_crystal,
+    from_diagram,
+    is_regular,
+    mullineux_on_symbol,
+    mullineux_symbol,
+    random_e_regular_partitions,
+    symmetric_partitions,
+)
 
 from mullineux.involution import (
+    _fixed_levels,
+    _rim_parent,
     _image_levels,
     fixed_set,
     irr_alternating_count,
@@ -91,11 +105,14 @@ def test_nonfixed_partitions_pair_up(e):
         assert (kn - len(fixed_set(e, n))) % 2 == 0
 
 
-def test_fixed_set_holds_two_levels_of_images():
-    # fixed_set reads level n of the image stream, not the whole of K_<=n.
-    fixed_peak = traced_peak(lambda: fixed_set(3, 36))
-    map_peak = traced_peak(lambda: mullineux_map(3, 36))
-    assert fixed_peak < 0.6 * map_peak, (fixed_peak, map_peak)
+def test_fixed_set_never_walks_the_crystal(monkeypatch):
+    for images in _image_levels(3, 36):
+        pass  # the brute-force images of K_36
+    expected = sorted(lam for lam, image in images.items() if image == lam)
+    forbid_crystal(monkeypatch)
+    assert [rec.partition for rec in fixed_set(3, 36)] == expected
+    assert len(fixed_set(2, 20)) == regular_count(2, 20)
+    assert irr_alternating_count(5, 30) == (regular_count(5, 30) + 3 * len(fixed_set(5, 30))) // 2
 
 
 def test_irr_alternating_count():
@@ -136,3 +153,73 @@ def test_image_levels_concatenate_to_the_map(e):
     merged = [item for level in levels for item in level.items()]
     assert merged == list(mullineux_map(e, 12).items())
     assert list(_image_levels(e, 0)) == [{(): ()}]
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_rim_parent_inverts_rim_removal(e):
+    # Each e-regular lam of at most 18 boxes is the one rim parent of what its
+    # e-rim leaves; every other (mu, r, a) has none, e.g. (1, 1, 1) is its own
+    # 3-rim but not 3-regular.
+    parents = {}
+    for n in range(1, 19):
+        for lam in filter(lambda lam: is_regular(lam, e), all_partitions(n)):
+            rim = e_rim(diagram(lam), e)
+            parents[(from_diagram(diagram(lam) - rim), len(lam), len(rim))] = lam
+    for n in range(19):
+        for mu in filter(lambda mu: is_regular(mu, e), all_partitions(n)):
+            for r in range(max(len(mu), 1), len(mu) + e + 1):
+                for a in range(r, 19 - n):
+                    assert _rim_parent(mu, r, a, e) == parents.get((mu, r, a)), (mu, r, a)
+
+
+@pytest.mark.parametrize("e, max_n", [(2, 30), (3, 40), (4, 28), (5, 32), (6, 24), (7, 40)])
+def test_fixed_levels_match_brute_force(e, max_n):
+    # At e = 2 this pins the shortcut K_n to the map itself.
+    brute = [sorted(lam for lam, image in level.items() if image == lam)
+             for level in _image_levels(e, max_n)]
+    assert [sorted(level) for level in _fixed_levels(e, max_n)] == brute
+
+
+@pytest.mark.parametrize("e, max_n", [(3, 56), (5, 48)])
+def test_fixed_levels_count_andrews_bessenrodt_olsson(e, max_n):
+    levels = list(_fixed_levels(e, max_n))
+    assert [len(level) for level in levels] == distinct_odd_counts(e, max_n)
+    for n, level in enumerate(levels):
+        assert len(set(level)) == len(level)
+        for lam in level:
+            assert sum(lam) == n and is_regular(lam, e)
+            symbol = mullineux_symbol(lam, e)
+            assert mullineux_on_symbol(symbol, e) == symbol, lam
+
+
+@pytest.mark.parametrize("e", [21, 1000])
+def test_fixed_levels_past_e_are_self_conjugate(e):
+    # Below e boxes the involution is the transpose.
+    assert ([sorted(level) for level in _fixed_levels(e, 20)]
+            == [sorted(symmetric_partitions(n)) for n in range(21)])
+
+
+def test_fixed_levels_reject_bad_arguments():
+    with pytest.raises(ValueError, match="max_n must be non-negative, got -1"):
+        next(_fixed_levels(3, -1))
+    with pytest.raises(ValueError, match="e must be at least 2, got 1"):
+        next(_fixed_levels(1, 5))
+
+
+def test_regular_count_matches_the_enumeration():
+    for e in range(2, 8):
+        for n in range(31):
+            assert regular_count(e, n) == len(e_regular_partitions(n, e))
+    assert regular_count(3, 200) == 22_724_322_109
+    with pytest.raises(ValueError, match="e must be at least 2, got 1"):
+        regular_count(1, -1)
+
+
+@pytest.mark.parametrize("e, max_n", [(2, 22), (3, 18), (4, 18), (5, 18), (6, 18), (7, 18)])
+def test_mullineux_acts_on_symbols_column_by_column(e, max_n):
+    # The oracle peels e-rims off cell sets and never touches the crystal.
+    for n in range(max_n + 1):
+        for lam in all_partitions(n):
+            if is_regular(lam, e):
+                expected = mullineux_on_symbol(mullineux_symbol(lam, e), e)
+                assert mullineux_symbol(mullineux(lam, e), e) == expected, lam

@@ -33,12 +33,10 @@ from .partitions import (
     Node,
     Partition,
     Residue,
-    StrictClass,
     conjugate,
     format_partition,
     has_distinct_parts,
     is_e_regular,
-    is_strict_class,
     is_symmetric,
     parse_partition,
     partitions_of,

@@ -45,28 +45,16 @@ def _kind_from(args) -> CrystalKind:
     return CrystalKind(args.kind, args.ell)
 
 
-def _fixed_payload(e: int, n: int) -> str:
-    records = fixed_set(e, n)
-    lines = [_dump({"n": rec.n, "partition": list(rec.partition),
-                    "residue_profile": list(rec.residue_profile)})
-             for rec in records]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def cmd_compute(args) -> int:
     print(format_partition(mullineux(args.partition, args.e)))
     return EXIT_OK
 
 
 def cmd_fixed(args) -> int:
-    cache = Cache()
-    payload = cache.fetch(("fixed", f"e{args.e}", f"n{args.n}"),
-                          lambda: _fixed_payload(args.e, args.n))
-    if args.profile:
-        sys.stdout.write(payload)
-        return EXIT_OK
-    for line in payload.splitlines():
-        print(format_partition(tuple(json.loads(line)["partition"])))
+    for rec in fixed_set(args.e, args.n):
+        print(_dump({"n": rec.n, "partition": list(rec.partition),
+                     "residue_profile": list(rec.residue_profile)})
+              if args.profile else format_partition(rec.partition))
     return EXIT_OK
 
 
@@ -116,8 +104,7 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_fold_cartan(args) -> int:
-    folded = fold_cartan(args.e)
-    for row in folded.matrix:
+    for row in fold_cartan(args.e).matrix:
         print(" ".join(str(entry) for entry in row))
     return EXIT_OK
 

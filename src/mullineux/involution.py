@@ -53,32 +53,22 @@ def mullineux(lam: Partition, e: int, tie_break: str = "min") -> Partition:
     return image
 
 
-def _image_levels(e: int, max_n: int):
-    """Images of K_0, ..., K_max_n, a dict per level yielded once complete (the
-    reader and the stream hold two).  mu, first reached by an x-arrow from lam,
-    maps to the cogood (-x mod e)-addition to lam's image, memoized on lam's level."""
+def mullineux_map(e: int, max_n: int) -> dict[Partition, Partition]:
+    """Images of every e-regular partition of size at most max_n.  mu, first
+    reached by an x-arrow from lam, maps to the cogood (-x mod e)-addition to
+    lam's image."""
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     lower = _cogood_lowering(e)
-    prev, cur = {(): ()}, {}
-    yield prev
+    images = {(): ()}
     for lam, mu, x in crystal_edges(lower, e, max_n):
-        if lam not in prev:  # the arrows out of the next level begin
-            prev, cur = cur, {}
-            yield prev
-        if mu not in cur:
-            image = lower(prev[lam], -x % e)
+        if mu not in images:
+            image = lower(images[lam], -x % e)
             if image is None:
                 raise InternalConsistencyError(
-                    f"negated word has no cogood step at {prev[lam]} (e={e})")
-            cur[mu] = image
-    if max_n:
-        yield cur
-
-
-def mullineux_map(e: int, max_n: int) -> dict[Partition, Partition]:
-    """Images of every e-regular partition of size at most max_n."""
-    return {lam: image for level in _image_levels(e, max_n) for lam, image in level.items()}
+                    f"negated word has no cogood step at {images[lam]} (e={e})")
+            images[mu] = image
+    return images
 
 
 @dataclass(frozen=True)
@@ -137,8 +127,8 @@ def _fixed_levels(e: int, max_n: int):
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     if e < 2:
         raise ValueError(f"e must be at least 2, got {e}")
-    if e == 2:  # the identity at e = 2: K_n is the level, listed faster than the walk
-        yield from (e_regular_partitions(n, 2) for n in range(max_n + 1))
+    if e == 2:
+        yield from (_fixed_level(2, n) for n in range(max_n + 1))
         return
     ahead = [[()]] + [[] for _ in range(max_n)]
     for size in range(max_n + 1):
@@ -153,13 +143,21 @@ def _fixed_levels(e: int, max_n: int):
                             ahead[size + a].append(lam)
 
 
+def _fixed_level(e: int, n: int) -> list[Partition]:
+    """The Mullineux-fixed partitions of n, in no set order."""
+    if e == 2:  # the identity at e = 2: K_n is the level, listed faster than the walk
+        return e_regular_partitions(n, 2)
+    for level in _fixed_levels(e, n):
+        pass  # keep only the last level
+    return level
+
+
 def fixed_set(e: int, n: int) -> list[FixedPointRecord]:
     """All Mullineux-fixed e-regular partitions of n, sorted lexicographically."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    for level in _fixed_levels(e, n):
-        pass  # keep only the last level
-    return [FixedPointRecord(lam, n, residue_counts(lam, e)) for lam in sorted(level)]
+    return [FixedPointRecord(lam, n, residue_counts(lam, e))
+            for lam in sorted(_fixed_level(e, n))]
 
 
 def regular_count(e: int, n: int) -> int:
@@ -187,7 +185,7 @@ def irr_alternating_count(e: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return _alternating_count(e, n, regular_count(e, n), len(fixed_set(e, n)))
+    return _alternating_count(e, n, regular_count(e, n), len(_fixed_level(e, n)))
 
 
 def _alternating_count(e: int, n: int, regular: int, fixed: int) -> int:

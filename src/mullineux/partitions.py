@@ -8,7 +8,6 @@ tuple is the empty partition.  Nodes of the Young diagram are 1-based
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import groupby
 from typing import Iterator
@@ -62,12 +61,6 @@ def is_e_regular(lam: Partition, e: int) -> bool:
     return all(sum(1 for _ in group) < e for _, group in groupby(lam))
 
 
-class StrictClass(Enum):
-    STRICT = "strict"
-    RESTRICTED = "restricted"
-    DOUBLE_RESTRICTED = "double-restricted"
-
-
 def is_strict(lam: Partition, f: int) -> bool:
     """f-strict: adjacent equal parts are allowed only when divisible by f."""
     if f < 2:
@@ -93,16 +86,6 @@ def is_restricted_strict(lam: Partition, f: int) -> bool:
 def is_double_restricted_strict(lam: Partition, f: int) -> bool:
     """f-strict with part gaps at most 2f (strictly less when f divides the part)."""
     return is_strict(lam, f) and _gaps_within(lam, f, 2 * f)
-
-
-def is_strict_class(lam: Partition, f: int, cls: StrictClass) -> bool:
-    if cls is StrictClass.STRICT:
-        return is_strict(lam, f)
-    if cls is StrictClass.RESTRICTED:
-        return is_restricted_strict(lam, f)
-    if cls is StrictClass.DOUBLE_RESTRICTED:
-        return is_double_restricted_strict(lam, f)
-    raise ValueError(f"unknown strictness class: {cls!r}")
 
 
 def is_symmetric(lam: Partition) -> bool:

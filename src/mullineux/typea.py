@@ -178,12 +178,6 @@ def _normal_conormal_rows(lam: Partition, e: int) -> tuple[list[tuple], list[tup
     return normal, pending
 
 
-def good_nodes(lam: Partition, e: int) -> list[Node | None]:
-    """Good node for every residue, from a single boundary scan."""
-    return [(rows[-1], lam[rows[-1] - 1]) if rows else None
-            for rows in _normal_conormal_rows(lam, e)[0]]
-
-
 def _residue_order(modulus: int, tie_break: str) -> range:
     if tie_break not in ("min", "max"):
         raise ValueError(f"tie_break must be 'min' or 'max', got {tie_break!r}")

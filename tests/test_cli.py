@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import mullineux
-from mullineux import typea
+from mullineux import characters, typea
 from mullineux.cache import Cache, _digest
 from mullineux.cli import EXIT_INTERNAL, EXIT_USAGE, MAX_BOXES, MAX_E, main
 from mullineux.export import _dump
@@ -201,6 +201,15 @@ def test_fixed_rejects_e_below_two_and_caches_nothing(capsys, tmp_path, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: e must be at least 2, got 0\n"
+    # A counts table whose build fails is not stored: (2,) breaks the odd-case
+    # parity (one 0-node and one 1-node at e = 3).
+    monkeypatch.setattr(characters, "_fixed_levels",
+                        lambda e, max_n: iter([[()], [], [(2,)], [], []]))
+    assert main(["verify", "--kind", "odd", "--ell", "1", "--max-deg", "1"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: fixed (2,) (e=3) violates the odd-case parity constraints\n")
     assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
 
 
@@ -209,13 +218,17 @@ def test_unversioned_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch):
     # holding a stale payload: it must be neither found nor printed.
     root = tmp_path / "cache"
     root.mkdir()
-    stale = _dump({"n": 5, "partition": [5], "residue_profile": [1, 2, 2]}) + "\n"
-    (root / "fixed-e3-n5.json").write_text(json.dumps(
-        {"key": ["fixed", "e3", "n5"], "sha256": _digest(stale), "payload": stale}))
-    assert Cache(root).get(("fixed", "e3", "n5")) is None
+    stale = _dump({"count": 5, "m": 0, "mp": 0, "n": 0}) + "\n"
+    (root / "counts-e3-s4.json").write_text(json.dumps(
+        {"key": ["counts", "e3", "s4"], "sha256": _digest(stale), "payload": stale}))
+    assert Cache(root).get(("counts", "e3", "s4")) is None
     monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(root))
-    assert main(["fixed", "-e", "3", "-n", "5"]) == 0
-    assert capsys.readouterr().out == "3,1,1\n"
+    assert main(["verify", "--kind", "odd", "--ell", "1", "--max-deg", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "degree lhs rhs-from-counts rhs-from-crystal status\n"
+        "0 1 1 1 ok\n"
+        "1 1 1 1 ok\n"
+        "PASS\n")
 
 
 def test_internal_error_has_its_own_exit_code(capsys, tmp_path, monkeypatch):
@@ -393,6 +406,10 @@ def test_fuzzed_argv_exits_with_a_documented_status(argv, tmp_path_factory):
 PINNED_COMMANDS = COMMANDS + [
     ["crystal", "export", "--kind", "typea", "-e", "3", "--bound", "10", "--format", "jsonl"],
     ["crystal", "export", "--kind", "odd", "--ell", "2", "--bound", "12", "--format", "dot"],
+    ["fixed", "-e", "2", "-n", "12", "--profile"],
+    ["fixed", "-e", "3", "-n", "2"],
+    ["fixed", "-e", "4", "-n", "16"],
+    ["alt-count", "-e", "2", "-n", "30"],
 ]
 PINNED_STDOUT_SHA256 = {
     "compute -e 3 3,1,1":
@@ -433,6 +450,15 @@ PINNED_STDOUT_SHA256 = {
         "0c62e0a3df04747db75dc5b571a41270bbb2e66ddab2c681faade79f3f6510f7",
     "crystal export --kind odd --ell 2 --bound 12 --format dot":
         "b36b412ab9dda64ea589578382b92af012ecdbdd7d21758ddc714d769c443eef",
+    # Recorded from the cached `mull fixed` route, before it printed from fixed_set.
+    "fixed -e 2 -n 12 --profile":
+        "d56ac514672214903ffe1226deb1d1657f3371fc3cf840fa8aa0b877159d3874",
+    "fixed -e 3 -n 2":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fixed -e 4 -n 16":
+        "9210283d2e6804963cd03e58decdae52e8c7ce32812564469192a9095a723b9d",
+    "alt-count -e 2 -n 30":
+        "fbbbdc7231dc30612154b1808efeaf4b6f7e8756db6c205e6ff94579e0ba8aa0",
 }
 
 

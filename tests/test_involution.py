@@ -13,10 +13,10 @@ from helpers import (
     symmetric_partitions,
 )
 
+from mullineux import involution
 from mullineux.involution import (
     _fixed_levels,
     _rim_parent,
-    _image_levels,
     fixed_set,
     irr_alternating_count,
     mullineux,
@@ -82,6 +82,8 @@ def test_e2_is_identity():
 @pytest.mark.parametrize("e", [2, 3, 4])
 def test_map_agrees_with_single_shot(e):
     images = mullineux_map(e, 10)
+    assert len(images) == sum(regular_count(e, n) for n in range(11))
+    assert mullineux_map(e, 0) == {(): ()}
     for n in range(11):
         for lam in e_regular_partitions(n, e):
             assert images[lam] == mullineux(lam, e)
@@ -106,9 +108,7 @@ def test_nonfixed_partitions_pair_up(e):
 
 
 def test_fixed_set_never_walks_the_crystal(monkeypatch):
-    for images in _image_levels(3, 36):
-        pass  # the brute-force images of K_36
-    expected = sorted(lam for lam, image in images.items() if image == lam)
+    expected = brute_fixed_levels(3, 36)[36]
     forbid_crystal(monkeypatch)
     assert [rec.partition for rec in fixed_set(3, 36)] == expected
     assert len(fixed_set(2, 20)) == regular_count(2, 20)
@@ -123,12 +123,32 @@ def test_irr_alternating_count():
         irr_alternating_count(3, 0)
 
 
-def fixed_counts(e, max_n):
-    counts = [0] * (max_n + 1)
+def test_e2_lists_k_n_once(monkeypatch):
+    # At e = 2 the level is K_n itself; no smaller level is listed.
+    calls = []
+
+    def counted(n, e):
+        calls.append((n, e))
+        return e_regular_partitions(n, e)
+    monkeypatch.setattr(involution, "e_regular_partitions", counted)
+    assert len(fixed_set(2, 20)) == regular_count(2, 20)
+    assert calls == [(20, 2)]
+    calls.clear()
+    assert irr_alternating_count(2, 20) == 2 * regular_count(2, 20)
+    assert calls == [(20, 2)]
+
+
+def brute_fixed_levels(e, max_n):
+    """Per size, the sorted fixed points of the map over all of K_<=max_n."""
+    levels = [[] for _ in range(max_n + 1)]
     for lam, image in mullineux_map(e, max_n).items():
         if image == lam:
-            counts[sum(lam)] += 1
-    return counts
+            levels[sum(lam)].append(lam)
+    return [sorted(level) for level in levels]
+
+
+def fixed_counts(e, max_n):
+    return [len(level) for level in brute_fixed_levels(e, max_n)]
 
 
 @pytest.mark.parametrize("e, max_n", [(3, 40), (5, 32), (7, 30)])
@@ -144,15 +164,6 @@ def test_andrews_bessenrodt_olsson_count_fails_for_even_e(e):
 def test_mullineux_map_rejects_negative_size():
     with pytest.raises(ValueError, match="max_n must be non-negative, got -5"):
         mullineux_map(3, -5)
-
-
-@pytest.mark.parametrize("e", range(2, 8))
-def test_image_levels_concatenate_to_the_map(e):
-    levels = list(_image_levels(e, 12))
-    assert [sorted(level) for level in levels] == [e_regular_partitions(n, e) for n in range(13)]
-    merged = [item for level in levels for item in level.items()]
-    assert merged == list(mullineux_map(e, 12).items())
-    assert list(_image_levels(e, 0)) == [{(): ()}]
 
 
 @pytest.mark.parametrize("e", [2, 3, 4, 5])
@@ -175,9 +186,8 @@ def test_rim_parent_inverts_rim_removal(e):
 @pytest.mark.parametrize("e, max_n", [(2, 30), (3, 40), (4, 28), (5, 32), (6, 24), (7, 40)])
 def test_fixed_levels_match_brute_force(e, max_n):
     # At e = 2 this pins the shortcut K_n to the map itself.
-    brute = [sorted(lam for lam, image in level.items() if image == lam)
-             for level in _image_levels(e, max_n)]
-    assert [sorted(level) for level in _fixed_levels(e, max_n)] == brute
+    assert ([sorted(level) for level in _fixed_levels(e, max_n)]
+            == brute_fixed_levels(e, max_n))
 
 
 @pytest.mark.parametrize("e, max_n", [(3, 56), (5, 48)])

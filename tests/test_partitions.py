@@ -7,7 +7,6 @@ from helpers import all_partitions, conjugate_by_columns
 from mullineux.partitions import (
     CrystalKind,
     Residue,
-    StrictClass,
     conjugate,
     e_regular_partitions,
     format_partition,
@@ -16,7 +15,6 @@ from mullineux.partitions import (
     is_e_regular,
     is_restricted_strict,
     is_strict,
-    is_strict_class,
     is_symmetric,
     parse_partition,
     partitions_of,
@@ -65,8 +63,8 @@ def test_strict_classes_spot_values():
     assert is_double_restricted_strict((9, 9, 7, 1), 3)
     # trailing gap 3 with 3 | 3 needs a strict bound, so (3) is not restricted
     assert not is_restricted_strict((3,), 3)
-    assert is_strict_class((3,), 3, StrictClass.STRICT)
-    assert is_strict_class((3,), 3, StrictClass.DOUBLE_RESTRICTED)
+    assert is_strict((3,), 3)
+    assert is_double_restricted_strict((3,), 3)
     with pytest.raises(ValueError):
         is_strict((2, 1), 1)
 

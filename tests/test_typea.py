@@ -20,7 +20,6 @@ from mullineux.typea import (
     cancel_ar,
     canonical_path,
     enumerate_kleshchev,
-    good_nodes,
     remove_good,
     removable_nodes,
     replay_path,
@@ -153,7 +152,7 @@ def test_every_nonempty_partition_has_a_good_node():
     for e in (2, 3, 4):
         for n in range(1, 10):
             for lam in e_regular_partitions(n, e):
-                assert any(node is not None for node in good_nodes(lam, e))
+                assert any(typea._normal_conormal_rows(lam, e)[0])
 
 
 @given(partitions_st)
@@ -207,19 +206,19 @@ def test_enumerate_kleshchev_edges_are_good_node_arrows():
 @pytest.mark.parametrize("e", range(2, 8))
 def test_good_cogood_rows_match_signature_report(e):
     # the one-pass list kernel against the report built by sort and
-    # cancellation: every normal and every conormal row, top down; and
-    # good_nodes, which reads the last normal row
+    # cancellation: every normal and every conormal row, top down; the last
+    # normal row is the good node's
     for n in range(15):
         for lam in all_partitions(n):
             if not is_e_regular(lam, e):
                 continue
             normal, conormal = typea._normal_conormal_rows(lam, e)
-            good = good_nodes(lam, e)
             for x in range(e):
                 report = signature_report(lam, x, e)
                 assert normal[x] == tuple(row for row, _ in report.normal), (lam, x)
                 assert conormal[x] == tuple(row for row, _ in report.conormal), (lam, x)
-                assert good[x] == report.good, (lam, x)
+                good = (normal[x][-1], lam[normal[x][-1] - 1]) if normal[x] else None
+                assert good == report.good, (lam, x)
 
 
 @pytest.mark.parametrize("e", range(2, 8))

@@ -1,24 +1,18 @@
-"""The Mullineux involution and its fixed points.
+"""The Mullineux involution and its fixed points, from Mullineux's symbol.
 
-The image of an e-regular partition negates its crystal path, whatever the
-path: strip it by steps to the empty partition and replay them reversed with
-residues negated mod e.  A step takes all k normal x-nodes of each x that is
-not adjacent (+-1 mod e) to one taken before; its replay, the first k conormal
-(-x)-nodes.  Moving an x-node changes only the signatures of x - 1, x and
-x + 1, and negation keeps residues non-adjacent, so a step's strings commute.
-
-The fixed points come from Mullineux's symbol, without the crystal: peeling
-e-rims gives columns (a_i, r_i) (rim size, rows), which the involution maps to
-(a_i, a_i - r_i + eps_i), eps_i = 0 if e | a_i and 1 otherwise (Ford-Kleshchev
-1997).  `mullineux_map`, over all of K_<=n, is the tests' reference for them.
+Peeling e-rims off an e-regular partition gives columns (a_i, r_i) (rim size,
+rows), which the involution maps to (a_i, a_i - r_i + eps_i), eps_i = 0 if
+e | a_i and 1 otherwise (Ford-Kleshchev 1997).  `mullineux` rebuilds the image
+from the mapped columns, last first, as e-rim parents; the fixed points are
+the partitions whose columns the map keeps, grown from smaller ones the same
+way.  Neither walks the crystal.  `mullineux_map`, which negates crystal paths
+over all of K_<=n, is the tests' reference for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
-from . import typea
 from .partitions import (
     InternalConsistencyError,
     Partition,
@@ -29,27 +23,23 @@ from .typea import _cogood_lowering, _require_regular, _residue_order, crystal_e
 
 
 def mullineux(lam: Partition, e: int, tie_break: str = "min") -> Partition:
-    """Image of lam under the Mullineux involution, one scan per step each way."""
+    """Image of lam under the Mullineux involution: peel e-rims into symbol
+    columns (a, r), then rebuild, last column first, the rim parent of each
+    (a, a - r + eps).  tie_break is only checked: every crystal path has this image."""
     _require_regular(lam, e)
-    order, steps, image = _residue_order(e, tie_break), [], ()
+    _residue_order(e, tie_break)
+    columns = []
     while lam:
-        normal, step = typea._normal_conormal_rows(lam, e)[0], {}
-        for x in order:
-            if normal[x] and (x - 1) % e not in step and (x + 1) % e not in step:
-                step[x] = len(normal[x])
-                lam = reduce(typea._remove_box, normal[x], lam)
-        if not step:
+        rows = len(lam)
+        lam, a = _peel_rim(lam, e)
+        columns.append((a, rows))
+    image = ()
+    for a, r in reversed(columns):
+        parent = _rim_parent(image, a - r + (a % e != 0), a, e)
+        if parent is None:
             raise InternalConsistencyError(
-                f"nonempty {e}-regular partition {lam} has no good node")
-        steps.append(step)
-    for step in reversed(steps):
-        conormal = typea._normal_conormal_rows(image, e)[1]
-        for x, count in step.items():
-            rows = conormal[-x % e][:count]
-            if len(rows) < count:
-                raise InternalConsistencyError(
-                    f"negated word has no cogood step at {image} (e={e})")
-            image = reduce(typea._add_box, rows, image)
+                f"symbol column ({a}, {r}) has no rim parent of {image} (e={e})")
+        image = parent
     return image
 
 
@@ -78,6 +68,19 @@ class FixedPointRecord:
     partition: Partition
     n: int
     residue_profile: tuple[int, ...]
+
+
+def _peel_rim(lam: Partition, e: int) -> tuple[Partition, int]:
+    """lam with its e-rim removed, and the rim's size.  Top down, a segment
+    enters each row at its last node and takes min(row rim, e - used) nodes;
+    the row rim runs to the column of the next part, or to column 1 on the
+    last row.  A full segment ends, and the next starts on the row below."""
+    mu, used = [], 0
+    for part, below in zip(lam, (*lam[1:], 1)):
+        take = min(part - below + 1, e - used)
+        mu.append(part - take)
+        used = (used + take) % e
+    return tuple(part for part in mu if part), sum(lam) - sum(mu)
 
 
 def _rim_parent(mu: Partition, r: int, a: int, e: int) -> Partition | None:

@@ -186,13 +186,20 @@ def residue_twisted(col: int, kind: CrystalKind) -> Residue:
 
 
 def residue_counts(lam: Partition, e: int) -> tuple[int, ...]:
-    """Number of diagram nodes of each type-A residue; entries sum to |lam|."""
+    """Number of diagram nodes of each type-A residue; entries sum to |lam|.
+    Row i (from 0) adds part // e to every residue and one to each of the
+    part % e residues from -i % e on, tallied as steps of a difference list."""
     if e < 2:
         raise ValueError(f"e must be at least 2, got {e}")
-    counts = [0] * e
-    for row, part in enumerate(lam, start=1):
-        for col in range(1, part + 1):
-            counts[(col - row) % e] += 1
+    steps, full = [0] * (2 * e + 1), 0
+    for row, part in enumerate(lam):
+        full += part // e
+        steps[-row % e] += 1
+        steps[-row % e + part % e] -= 1
+    counts, run = [full] * e, 0
+    for x in range(2 * e):
+        run += steps[x]
+        counts[x % e] += run
     return tuple(counts)
 
 

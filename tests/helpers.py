@@ -133,6 +133,12 @@ def random_e_regular_partitions(e, count, min_size, max_size, seed):
     return out
 
 
+def stair(rows, repeat):
+    """rows, rows - 1, ..., 1, each part `repeat` times: e-regular for
+    repeat < e, and with repeat = e - 1 the most rows for its size."""
+    return tuple(part for part in range(rows, 0, -1) for _ in range(repeat))
+
+
 def is_regular(lam, e):
     """No part value occurs e times."""
     return all(lam.count(part) < e for part in set(lam))

@@ -9,10 +9,11 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
+from helpers import stair
 from hypothesis import given, settings
 
 import mullineux
-from mullineux import characters, typea
+from mullineux import characters, involution
 from mullineux.cache import Cache, _digest
 from mullineux.cli import EXIT_INTERNAL, EXIT_USAGE, MAX_BOXES, MAX_E, main
 from mullineux.export import _dump
@@ -233,25 +234,24 @@ def test_unversioned_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch):
 
 def test_internal_error_has_its_own_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
-    # a kernel that finds no normal node on a nonempty partition
-    monkeypatch.setattr(typea, "_normal_conormal_rows", lambda lam, e: ([()] * e, [()] * e))
+    # a symbol column with no rim parent, from the first one on
+    monkeypatch.setattr(involution, "_rim_parent", lambda mu, r, a, e: None)
     assert main(["compute", "-e", "3", "3,1,1"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "internal error: nonempty 3-regular partition (3, 1, 1) has no good node\n")
+    assert captured.err == "internal error: symbol column (5, 3) has no rim parent of () (e=3)\n"
 
 
 def test_short_replay_is_an_internal_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
-    # a kernel that finds every normal node but no conormal node
-    kernel = typea._normal_conormal_rows
-    monkeypatch.setattr(typea, "_normal_conormal_rows",
-                        lambda lam, e: (kernel(lam, e)[0], [()] * e))
-    assert main(["compute", "-e", "3", "3,1,1"]) == EXIT_INTERNAL
+    # a rebuild that places the last column and then finds no rim parent
+    rim_parent = involution._rim_parent
+    monkeypatch.setattr(involution, "_rim_parent",
+                        lambda mu, r, a, e: None if mu else rim_parent(mu, r, a, e))
+    assert main(["compute", "-e", "3", "4,2,1"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "internal error: negated word has no cogood step at () (e=3)\n"
+    assert captured.err == "internal error: symbol column (6, 3) has no rim parent of (1,) (e=3)\n"
 
 
 def test_negative_degree_is_rejected_before_the_cache(capsys, tmp_path, monkeypatch):
@@ -468,6 +468,24 @@ def test_stdout_matches_pinned_digest(args, capsys, tmp_path, monkeypatch):
     assert main(args) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_STDOUT_SHA256[" ".join(args)]
+
+
+# Generated literals near MAX_BOXES, by (e, rows, repeat) of `stair`; recorded
+# from the string-batched crystal route, before the image came from symbols.
+PINNED_COMPUTE_SHA256 = {
+    (2, 140, 1): "a7840d467c949010d4dc50ec55e940c56a2f3e817419ab0176666dcfbfde3fd3",
+    (7, 56, 6): "403c9f1ea804f7fbdc1088ff91831e0d13920ff3bb7bf8919c9971e2cb1bf4b0",
+    (1000, 4, 999): "c781078f1fb1089ed1f872bfabb24e3b9f9718869ddf47705cdb8f6ac3d64998",
+}
+
+
+@pytest.mark.parametrize("e, rows, repeat", PINNED_COMPUTE_SHA256)
+def test_compute_stdout_on_large_literals_matches_pinned_digest(
+        e, rows, repeat, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["compute", "-e", str(e), format_partition(stair(rows, repeat))]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_COMPUTE_SHA256[(e, rows, repeat)]
 
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")

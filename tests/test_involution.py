@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from helpers import (
     all_partitions,
@@ -10,12 +12,14 @@ from helpers import (
     mullineux_on_symbol,
     mullineux_symbol,
     random_e_regular_partitions,
+    stair,
     symmetric_partitions,
 )
 
 from mullineux import involution
 from mullineux.involution import (
     _fixed_levels,
+    _peel_rim,
     _rim_parent,
     fixed_set,
     irr_alternating_count,
@@ -23,7 +27,7 @@ from mullineux.involution import (
     mullineux_map,
     regular_count,
 )
-from mullineux.partitions import conjugate, e_regular_partitions
+from mullineux.partitions import InternalConsistencyError, conjugate, e_regular_partitions
 from mullineux.typea import canonical_path, replay_path
 
 
@@ -61,11 +65,54 @@ def box_route(lam, e, tie_break):
 
 @pytest.mark.parametrize("e", range(2, 8))
 def test_string_route_matches_the_box_route(e):
+    # The symbol route (peel e-rims, rebuild rim parents) against the crystal.
     small = [lam for n in range(17) for lam in e_regular_partitions(n, e)]
     large = random_e_regular_partitions(e, 500, 40, 60, seed=e)
     for lam in small + large:
         for tie_break in ("min", "max"):
             assert mullineux(lam, e, tie_break) == box_route(lam, e, tie_break), (lam, tie_break)
+
+
+# Near MAX_BOXES: the most rows per box at small e, then e = 1000 columns.
+LARGE_SHAPES = [(e, stair(rows, e - 1)) for e, rows in
+                ((2, 140), (3, 99), (4, 81), (7, 56), (11, 44), (31, 25))] + [
+    (1000, stair(1, 999)), (1000, stair(2, 999)), (1000, stair(4, 999)),
+    (1000, (20,) * 499), (1000, (9000,) + (1,) * 999)]
+
+
+def test_large_shapes_match_the_box_route():
+    # _rim_parent recurses once per segment end; CPython's default limit holds.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        images = [mullineux(lam, e) for e, lam in LARGE_SHAPES]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert images == [box_route(lam, e, "min") for e, lam in LARGE_SHAPES]
+
+
+@pytest.mark.parametrize("e", range(2, 8))
+def test_peel_rim_matches_the_cell_set_rim(e):
+    for n in range(19):
+        for lam in filter(lambda lam: is_regular(lam, e), all_partitions(n)):
+            rim = e_rim(diagram(lam), e) if lam else set()
+            assert _peel_rim(lam, e) == (from_diagram(diagram(lam) - rim), len(rim)), lam
+
+
+def test_mullineux_never_walks_the_crystal(monkeypatch):
+    lams = [lam for n in range(13) for lam in e_regular_partitions(n, 4)]
+    lams += random_e_regular_partitions(4, 200, 40, 60, seed=0)
+    expected = [box_route(lam, 4, "min") for lam in lams]
+    forbid_crystal(monkeypatch)
+    assert [mullineux(lam, 4) for lam in lams] == expected
+
+
+def test_mullineux_map_needs_a_cogood_step(monkeypatch):
+    # An arrow () -> (1,) at residue 1 asks for a cogood 2-node of (), which has none.
+    monkeypatch.setattr(involution, "crystal_edges", lambda lower, e, max_n: [((), (1,), 1)])
+    with pytest.raises(InternalConsistencyError,
+                       match=r"negated word has no cogood step at \(\) \(e=3\)"):
+        mullineux_map(3, 1)
 
 
 def test_mullineux_rejects_a_bad_tie_break():

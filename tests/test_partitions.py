@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 
 from conftest import partitions_st
-from helpers import all_partitions, conjugate_by_columns
+from helpers import all_partitions, conjugate_by_columns, diagram
 
 from mullineux.partitions import (
     CrystalKind,
@@ -129,6 +129,17 @@ def test_residue_counts():
     # hand tally of the 42-cell residue matrix, row by row:
     # (3,3,3)+(3,3,3)+(2,3,3)+(3,2,2)+(2,1,2)+(1,1,1)+(1,0,0)
     assert residue_counts((9, 9, 8, 7, 5, 3, 1), 3) == (15, 13, 14)
+
+
+def test_residue_counts_match_the_per_box_tally():
+    for n in range(25):
+        for lam in all_partitions(n):
+            cells = diagram(lam)
+            for e in range(2, 9):
+                tally = [0] * e
+                for row, col in cells:
+                    tally[(col - row) % e] += 1
+                assert residue_counts(lam, e) == tuple(tally), (lam, e)
 
 
 @given(partitions_st)

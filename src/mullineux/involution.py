@@ -19,7 +19,7 @@ from .partitions import (
     e_regular_partitions,
     residue_counts,
 )
-from .typea import _cogood_lowering, _require_regular, _residue_order, crystal_edges
+from .typea import _cogood_moves, _lowering, _require_regular, _residue_order, crystal_edges
 
 
 def mullineux(lam: Partition, e: int, tie_break: str = "min") -> Partition:
@@ -49,7 +49,7 @@ def mullineux_map(e: int, max_n: int) -> dict[Partition, Partition]:
     lam's image."""
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
-    lower = _cogood_lowering(e)
+    lower = _lowering(*_cogood_moves(e))
     images = {(): ()}
     for lam, mu, x in crystal_edges(lower, e, max_n):
         if mu not in images:

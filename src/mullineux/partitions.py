@@ -8,8 +8,9 @@ tuple is the empty partition.  Nodes of the Young diagram are 1-based
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
+from math import inf
 from typing import Iterator
 
 Partition = tuple[int, ...]
@@ -61,31 +62,32 @@ def is_e_regular(lam: Partition, e: int) -> bool:
     return all(sum(1 for _ in group) < e for _, group in groupby(lam))
 
 
-def is_strict(lam: Partition, f: int) -> bool:
-    """f-strict: adjacent equal parts are allowed only when divisible by f."""
+def _fits(upper: int, lower: int, f: int, bound: float) -> bool:
+    """The class rule for adjacent parts upper, lower (0 past the end):
+    lower <= upper, equal only when f divides them, and a drop of at most
+    bound, strictly less when f divides upper."""
+    return lower < upper <= lower + bound if upper % f else lower <= upper < lower + bound
+
+
+def _all_fit(lam: Partition, f: int, bound: float) -> bool:
     if f < 2:
         raise ValueError(f"f must be at least 2, got {f}")
-    return all(lam[i] % f == 0
-               for i in range(len(lam) - 1) if lam[i] == lam[i + 1])
+    return all(_fits(upper, lower, f, bound) for upper, lower in zip(lam, lam[1:] + (0,)))
 
 
-def _gaps_within(lam: Partition, f: int, bound: int) -> bool:
-    # Parts past the end count as 0, so the last part's own gap is included.
-    for i, part in enumerate(lam):
-        gap = part - (lam[i + 1] if i + 1 < len(lam) else 0)
-        if gap > (bound - 1 if part % f == 0 else bound):
-            return False
-    return True
+def is_strict(lam: Partition, f: int) -> bool:
+    """f-strict: adjacent equal parts are allowed only when divisible by f."""
+    return _all_fit(lam, f, inf)
 
 
 def is_restricted_strict(lam: Partition, f: int) -> bool:
     """f-strict with part gaps at most f (strictly less when f divides the part)."""
-    return is_strict(lam, f) and _gaps_within(lam, f, f)
+    return _all_fit(lam, f, f)
 
 
 def is_double_restricted_strict(lam: Partition, f: int) -> bool:
     """f-strict with part gaps at most 2f (strictly less when f divides the part)."""
-    return is_strict(lam, f) and _gaps_within(lam, f, 2 * f)
+    return _all_fit(lam, f, 2 * f)
 
 
 def is_symmetric(lam: Partition) -> bool:
@@ -147,34 +149,29 @@ class CrystalKind:
     def even(cls, ell: int) -> "CrystalKind":
         return cls("even", ell)
 
-    @property
+    @cached_property
     def is_odd(self) -> bool:
         return self.parity == "odd"
 
-    @property
+    @cached_property
     def e(self) -> int:
         return 2 * self.ell + (1 if self.is_odd else 0)
 
-    @property
+    @cached_property
     def strict_f(self) -> int:
         """Strictness parameter: e in the odd flavor, ell + 1 in the even one."""
         return self.e if self.is_odd else self.ell + 1
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.ell + 1
 
-    @property
+    @cached_property
     def column_pattern(self) -> tuple[int, ...]:
-        return _column_pattern(self.parity, self.ell)
-
-
-@lru_cache(maxsize=None)
-def _column_pattern(parity: str, ell: int) -> tuple[int, ...]:
-    up = tuple(range(ell + 1))
-    if parity == "odd":
-        return up + tuple(range(ell - 1, -1, -1))  # period 2*ell + 1
-    return up + tuple(range(ell, -1, -1))          # period 2*ell + 2, ell doubled
+        up = tuple(range(self.ell + 1))
+        if self.is_odd:
+            return up + tuple(range(self.ell - 1, -1, -1))  # period 2*ell + 1
+        return up + tuple(range(self.ell, -1, -1))          # period 2*ell + 2, ell doubled
 
 
 def residue_twisted(col: int, kind: CrystalKind) -> Residue:

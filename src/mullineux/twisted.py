@@ -14,6 +14,7 @@ survives forces its partner to survive just after/before it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .partitions import (
     CrystalKind,
@@ -21,6 +22,7 @@ from .partitions import (
     Node,
     Partition,
     Residue,
+    _fits,
     _top_down,
     is_double_restricted_strict,
     is_restricted_strict,
@@ -29,10 +31,8 @@ from .partitions import (
 from .typea import (
     CrystalGraph,
     SignatureReport,
-    _add_box,
     _crystal_graph,
     _lowering,
-    _remove_box,
     _replay,
     _residue_value,
     _signature,
@@ -75,66 +75,76 @@ def node_scan(lam: Partition, kind: CrystalKind) -> tuple[TwistedNode, ...]:
     The pair seats sit immediately left of / right of the row end: R2 at
     (r, part-1) needs its right neighbour to share the residue and both the
     one-box and two-box removals to stay f-strict; A2 at (r, part+2) is the
-    mirror condition for additions.
+    mirror condition for additions.  The tests' reference for the kernel
+    _good_cogood_rows, with which it shares no code: a move keeps lam
+    f-strict exactly when the moved part still fits its neighbours.
     """
-    f = kind.strict_f
+    f, pattern = kind.strict_f, kind.column_pattern
     if not is_strict(lam, f):
         raise ValueError(f"{lam} is not {f}-strict")
-    return tuple(TwistedNode(node, tag, Residue(x, kind.modulus))
-                 for node, tag, x in _scan(lam, kind))
-
-
-def _fits(upper: int, lower: int, f: int) -> bool:
-    # Adjacent parts upper >= lower of an f-strict partition, equal only
-    # when f divides them.
-    return upper > lower or (upper == lower and upper % f == 0)
-
-
-def _scan(lam: Partition, kind: CrystalKind) -> list[tuple[Node, str, int]]:
-    """node_scan as (node, tag, residue value) triples.  Unchecked: lam must
-    be f-strict, so a one- or two-box move at the end of a row keeps it
-    f-strict exactly when the moved part still fits its neighbours."""
-    f, pattern = kind.strict_f, kind.column_pattern
     parts = (lam[0] + 3 if lam else 3,) + lam + (0, 0)
     out = []
     for row in range(len(lam) + 1, 0, -1):
         above, part, below = parts[row - 1:row + 2]
-        res = [pattern[(col - 1) % len(pattern)] for col in range(part - 1, part + 3)]
-        if part and _fits(part - 1, below, f):
-            if part >= 2 and _fits(part - 2, below, f) and res[0] == res[1]:
-                out.append(((row, part - 1), "R2", res[0]))
-            out.append(((row, part), "R1", res[1]))
-        if _fits(above, part + 1, f):
-            out.append(((row, part + 1), "A1", res[2]))
-            if _fits(above, part + 2, f) and res[2] == res[3]:
-                out.append(((row, part + 2), "A2", res[3]))
-    return out
+        res = [Residue(pattern[(col - 1) % len(pattern)], kind.modulus)
+               for col in range(part - 1, part + 3)]
+        if _fits(part - 1, below, f, inf):  # a negative part never fits
+            if _fits(part - 2, below, f, inf) and res[0] == res[1]:
+                out.append(TwistedNode((row, part - 1), "R2", res[0]))
+            out.append(TwistedNode((row, part), "R1", res[1]))
+        if _fits(above, part + 1, f, inf):
+            out.append(TwistedNode((row, part + 1), "A1", res[2]))
+            if _fits(above, part + 2, f, inf) and res[2] == res[3]:
+                out.append(TwistedNode((row, part + 2), "A2", res[3]))
+    return tuple(out)
 
 
 def _good_cogood_rows(lam: Partition, kind: CrystalKind) -> list[list[int]]:
     """Rows of the good and of the cogood i-node for every residue i (0 when
-    there is none), from one node scan of a class member, selected as in
-    typea._normal_conormal_rows; the good node must be R1, the cogood node A1."""
-    m = kind.modulus
-    good, cogood, pending = [None] * m, [None] * m, [0] * m
-    for entry in _scan(lam, kind):
-        x = entry[2]
-        if entry[1][0] == "A":
+    there is none) of a class member, in one bottom-up pass over its rows.
+    Each row reads, left to right, the seats of node_scan that fit: R2, R1,
+    A1, A2.  With a count of pending A's per residue, the good node is the
+    last R read with none pending and the cogood node the A that opens the
+    run still pending at the end, as in typea._normal_conormal_rows.  A pair
+    seat is kept as a negative row, and must not be chosen: the good node
+    is R1 and the cogood node A1.  Unchecked: lam must be a class member."""
+    f, pattern, m = kind.strict_f, kind.column_pattern, kind.modulus
+    period = len(pattern)
+    good, cogood, pending = [0] * m, [0] * m, [0] * m
+    row, below = len(lam) + 1, 0
+    for part, above in zip((0,) + lam[::-1], lam[::-1] + (lam[0] + 3 if lam else 3,)):
+        # each seat fits when the moved part stays above the next one, equal
+        # to it only on a multiple of f; a pair seat needs the same residue
+        if part - 1 > below or part - 1 == below and below % f == 0:
+            x = pattern[(part - 1) % period]
+            if pattern[(part - 2) % period] == x and (
+                    part - 2 > below or part - 2 == below and below % f == 0):
+                if pending[x]:
+                    pending[x] -= 1
+                else:
+                    good[x] = -row
+            if pending[x]:
+                pending[x] -= 1
+            else:
+                good[x] = row
+        if above > part + 1 or above == part + 1 and above % f == 0:
+            x = pattern[part % period]
             if not pending[x]:
-                cogood[x] = entry
+                cogood[x] = row
             pending[x] += 1
-        elif pending[x]:
-            pending[x] -= 1
-        else:
-            good[x] = entry
-    cogood = [entry if count else None for entry, count in zip(cogood, pending)]
-    rows = []
-    for name, tag, entries in (("good", "R1", good), ("cogood", "A1", cogood)):
-        for entry in entries:
-            if entry and entry[1] != tag:
-                raise InternalConsistencyError(f"{name} node {entry[0]} of {lam} is not {tag}")
-        rows.append([entry[0][0] if entry else 0 for entry in entries])
-    return rows
+            if pattern[(part + 1) % period] == x and (
+                    above > part + 2 or above == part + 2 and above % f == 0):
+                if not pending[x]:
+                    cogood[x] = -row
+                pending[x] += 1
+        row, below = row - 1, part
+    cogood = [seat if count else 0 for seat, count in zip(cogood, pending)]
+    for name, tag, seats, shift in (("good", "R1", good, -1), ("cogood", "A1", cogood, 2)):
+        if min(seats) < 0:
+            row = -min(seats)
+            raise InternalConsistencyError(
+                f"{name} node {(row, (lam + (0,))[row - 1] + shift)} of {lam} is not {tag}")
+    return [good, cogood]
 
 
 def signature_report_twisted(lam: Partition, i, kind: CrystalKind) -> SignatureReport:
@@ -160,18 +170,24 @@ def _require_class(lam: Partition, kind: CrystalKind) -> None:
 
 def _moved(lam: Partition, row: int, kind: CrystalKind, add: bool) -> Partition | None:
     """lam with a box added at (or removed from) the end of row, which must
-    leave a class member; None when row is 0."""
-    result = (_add_box if add else _remove_box)(lam, row)
-    if row and (result is None or not in_crystal_class(result, kind)):
+    leave a class member; None when row is 0.  lam is one, so only the two
+    pairs the moved part makes with its neighbours can break the class rule."""
+    if not row:
+        return None
+    f, bound = kind.strict_f, kind.strict_f * (1 if kind.is_odd else 2)
+    new = (lam[row - 1] if row <= len(lam) else 0) + (1 if add else -1)
+    if not (row <= len(lam) + 1 and _fits(new, lam[row] if row < len(lam) else 0, f, bound)
+            and (row == 1 or _fits(lam[row - 2], new, f, bound))):
         move = "cogood addition" if add else "good removal"
         raise InternalConsistencyError(
             f"{move} left the class: {lam} {'+' if add else '-'} row {row}")
-    return result
+    return lam[:row - 1] + ((new,) if new else ()) + lam[row:]
 
 
-def _f_lowering(kind: CrystalKind):
-    return _lowering(lambda lam: _good_cogood_rows(lam, kind)[1],
-                     lambda lam, row: _moved(lam, row, kind, True))
+def _f_moves(kind: CrystalKind):
+    """rows_of and add of f_twisted, for _lowering and _replay."""
+    return (lambda lam: _good_cogood_rows(lam, kind)[1],
+            lambda lam, row: _moved(lam, row, kind, True))
 
 
 def f_twisted(lam: Partition, i, kind: CrystalKind) -> Partition | None:
@@ -201,7 +217,7 @@ def canonical_path_twisted(lam: Partition, kind: CrystalKind,
 
 def replay_twisted(word, kind: CrystalKind) -> Partition:
     """Apply f_twisted from the empty partition along a residue word."""
-    return _replay(word, _f_lowering(kind), kind.modulus)
+    return _replay(word, *_f_moves(kind), kind.modulus)
 
 
 def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
@@ -213,6 +229,6 @@ def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    return _crystal_graph(_f_lowering(kind), kind.modulus, max_depth,
+    return _crystal_graph(_lowering(*_f_moves(kind)), kind.modulus, max_depth,
                           lambda n: class_partitions(n, kind),
                           f"class_partitions at {kind.parity} ell={kind.ell}")

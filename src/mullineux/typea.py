@@ -216,12 +216,13 @@ class ReplayError(ValueError):
     """A residue word demanded a cogood node that does not exist."""
 
 
-def _replay(word, lower, modulus: int) -> Partition:
-    """Apply lower(lam, x) from the empty partition along a residue word."""
+def _replay(word, rows_of, add, modulus: int) -> Partition:
+    """Apply add(lam, rows_of(lam)[x]) from the empty partition along a
+    residue word.  A replay meets each vertex once, so it keeps no memo."""
     lam: Partition = ()
     for step, x in enumerate(word, start=1):
         x = _residue_value(x, modulus)
-        nxt = lower(lam, x)
+        nxt = add(lam, rows_of(lam)[x])
         if nxt is None:
             raise ReplayError(f"step {step}: no cogood {x}-node on {lam}")
         lam = nxt
@@ -230,7 +231,7 @@ def _replay(word, lower, modulus: int) -> Partition:
 
 def replay_path(word, e: int) -> Partition:
     """Apply cogood additions from the empty partition along a residue word."""
-    return _replay(word, _cogood_lowering(e), e)
+    return _replay(word, *_cogood_moves(e), e)
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,7 @@ def crystal_edges(lower, modulus: int, depth: int):
 def _lowering(rows_of, add):
     """lower(lam, x) = add(lam, rows_of(lam)[x]) for crystal_edges, with
     rows_of computed once per vertex and kept for one level (size) at a time."""
-    memo: dict[Partition, list[int]] = {}
+    memo: dict[Partition, list] = {}
 
     def lower(lam, x):
         rows = memo.get(lam)
@@ -275,12 +276,13 @@ def _lowering(rows_of, add):
     return lower
 
 
-def _cogood_lowering(e: int):
-    """_lowering by cogood addition in the e-good lattice."""
+def _cogood_moves(e: int):
+    """rows_of and add of cogood addition in the e-good lattice, for _lowering
+    and _replay: the conormal rows of every residue, and the first one's box."""
     if e < 2:
         raise ValueError(f"e must be at least 2, got {e}")
-    return _lowering(lambda lam: [rows[0] if rows else 0  # the cogood rows, 0 for none
-                                  for rows in _normal_conormal_rows(lam, e)[1]], _add_box)
+    return (lambda lam: _normal_conormal_rows(lam, e)[1],
+            lambda lam, rows: _add_box(lam, rows[0] if rows else 0))
 
 
 def _crystal_graph(lower, modulus: int, depth: int, expected, label: str) -> CrystalGraph:
@@ -307,5 +309,5 @@ def enumerate_kleshchev(e: int, max_n: int) -> CrystalGraph:
     """
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
-    return _crystal_graph(_cogood_lowering(e), e, max_n,
+    return _crystal_graph(_lowering(*_cogood_moves(e)), e, max_n,
                           lambda n: e_regular_partitions(n, e), f"e_regular_partitions at e={e}")

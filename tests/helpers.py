@@ -192,3 +192,33 @@ def forbid_crystal(monkeypatch):
     monkeypatch.setattr(typea, "crystal_edges", refuse)
     monkeypatch.setattr(involution, "crystal_edges", refuse)
     monkeypatch.setattr(typea, "_normal_conormal_rows", refuse)
+
+
+def unfold_walk(kind, max_size):
+    """Every twisted-crystal vertex whose unfolded image has at most max_size
+    boxes, mapped to that image: the third fixed-point route, after the
+    symbols and the brute-force map.  A pruned crystal_edges walk: an x-arrow
+    lam -> mu extends lam's image by the block expand_residue(x) through
+    cogood additions, and is cut once the image would pass max_size, which
+    is sound as every arrow grows the image by its block.  A vertex reached
+    by a second arrow must get the same image."""
+    from mullineux.folding import expand_residue
+    from mullineux.twisted import f_twisted
+    from mullineux.typea import add_cogood, crystal_edges
+
+    images = {(): ()}
+
+    def lower(lam, x):
+        image, block = images[lam], expand_residue(x, kind)
+        mu = f_twisted(lam, x, kind)
+        if mu is None or sum(image) + len(block) > max_size:
+            return None
+        for y in block:
+            image = add_cogood(image, y, kind.e)
+            assert image is not None, (lam, x)
+        assert images.setdefault(mu, image) == image, (lam, x)
+        return mu
+
+    for _ in crystal_edges(lower, kind.modulus, max_size):
+        pass
+    return images

@@ -5,7 +5,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 import time
 
-from helpers import all_partitions
+import pytest
+from helpers import all_partitions, unfold_walk
 
 from test_cli import COMMANDS, run_cli
 
@@ -13,6 +14,7 @@ from mullineux.bijections import distinct_to_symmetric, symmetric_to_distinct
 from mullineux.characters import character_series, verify_identity
 from mullineux.folding import check_fold_relations, fold_cartan, unfold
 from mullineux.involution import (
+    _fixed_levels,
     irr_alternating_count,
     mullineux,
     mullineux_map,
@@ -173,6 +175,23 @@ def test_c6_folding_suite():
             assert fixed <= reached, f"e={e}: missing {sorted(fixed - reached)[:3]}"
         elapsed = time.monotonic() - start
         assert elapsed <= 300, f"suite took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("e, max_size", [(3, 56), (5, 48), (4, 40), (7, 40)])
+def test_c6_unfold_walk_meets_the_symbol_route(e, max_size):
+    # The paper's bijection size by size: the images of the pruned twisted
+    # walk are exactly the fixed points built from Mullineux symbols (and,
+    # to 20 boxes, by brute force), and each is the unfold of its vertex
+    # whatever the tie-break.
+    kind = kind_for(e)
+    images = unfold_walk(kind, max_size)
+    for n, level in enumerate(_fixed_levels(e, max_size)):
+        assert sorted(image for image in images.values() if sum(image) == n) == sorted(level), n
+    brute = mullineux_map(e, 20)
+    assert sorted(image for image in images.values() if sum(image) <= 20) == sorted(
+        lam for lam, image in brute.items() if image == lam)
+    for lam, image in images.items():
+        assert unfold(lam, kind) == unfold(lam, kind, tie_break="max") == image, lam
 
 
 def test_c7_counting_identities():

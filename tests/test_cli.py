@@ -13,7 +13,7 @@ from helpers import stair
 from hypothesis import given, settings
 
 import mullineux
-from mullineux import characters, involution
+from mullineux import characters, involution, twisted
 from mullineux.cache import Cache, _digest
 from mullineux.cli import EXIT_INTERNAL, EXIT_USAGE, MAX_BOXES, MAX_E, main
 from mullineux.export import _dump
@@ -254,6 +254,23 @@ def test_short_replay_is_an_internal_error(capsys, tmp_path, monkeypatch):
     assert captured.err == "internal error: symbol column (6, 3) has no rim parent of (1,) (e=3)\n"
 
 
+def test_a_twisted_move_out_of_the_class_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    # a kernel that hands back row 1 for every residue: stripping (2, 1)
+    # leaves (1, 1), and growing () reaches (3,), neither 3-strict restricted
+    monkeypatch.setattr(twisted, "_good_cogood_rows", lambda lam, kind: [[1] * kind.modulus] * 2)
+    assert main(["eta", "--kind", "odd", "--ell", "1", "2,1"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: good removal left the class: (2, 1) - row 1\n"
+    assert main(["crystal", "export", "--kind", "odd", "--ell", "1", "--bound", "4",
+                 "--format", "jsonl"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: cogood addition left the class: (2,) + row 1\n"
+    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
+
 def test_negative_degree_is_rejected_before_the_cache(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
     assert main(["verify", "--kind", "odd", "--ell", "1", "--max-deg", "-1"]) == EXIT_USAGE
@@ -410,6 +427,16 @@ PINNED_COMMANDS = COMMANDS + [
     ["fixed", "-e", "3", "-n", "2"],
     ["fixed", "-e", "4", "-n", "16"],
     ["alt-count", "-e", "2", "-n", "30"],
+    # The bench-size twisted exports, and the word, image and fold report of
+    # three class members of 24-30 boxes.
+    *(["crystal", "export", "--kind", kind, "--ell", ell, "--bound", bound, "--format", fmt]
+      for kind, ell, bound in (("even", "1", "28"), ("odd", "2", "26"), ("odd", "3", "30"))
+      for fmt in ("jsonl", "dot")),
+    *(cmd for kind, ell, lam in (("odd", "1", "6,5,4,3,3,3,2,1"), ("even", "2", "7,5,4,3,3,2"),
+                                 ("odd", "3", "7,7,7,6,2,1"))
+      for cmd in (["twisted", "path", "--kind", kind, "--ell", ell, lam],
+                  ["eta", "--kind", kind, "--ell", ell, lam],
+                  ["eta", "--kind", kind, "--ell", ell, "--check", lam])),
 ]
 PINNED_STDOUT_SHA256 = {
     "compute -e 3 3,1,1":
@@ -459,6 +486,37 @@ PINNED_STDOUT_SHA256 = {
         "9210283d2e6804963cd03e58decdae52e8c7ce32812564469192a9095a723b9d",
     "alt-count -e 2 -n 30":
         "fbbbdc7231dc30612154b1808efeaf4b6f7e8756db6c205e6ff94579e0ba8aa0",
+    # Recorded before the twisted kernel became one bottom-up pass over the rows.
+    "crystal export --kind even --ell 1 --bound 28 --format jsonl":
+        "71fdee1d792dea4666fac73a0472824639650b005107dc66bfbd08d5d110a7d0",
+    "crystal export --kind even --ell 1 --bound 28 --format dot":
+        "616034f9402f61e72881c13b16c5462d11d63c20cc3347f648663cd78b62fc24",
+    "crystal export --kind odd --ell 2 --bound 26 --format jsonl":
+        "b87a79982de5011623ad6c5ed9fec911454c1fd14edaeb53e80158a4a4865697",
+    "crystal export --kind odd --ell 2 --bound 26 --format dot":
+        "2eb5ff63771551e99331990197cbbdeaa774e5f1e9b7b362c1214b17de9b836c",
+    "crystal export --kind odd --ell 3 --bound 30 --format jsonl":
+        "ed1728211ab80e4aa9ce66835813f1d64431fef270933e168df18723f33c8188",
+    "crystal export --kind odd --ell 3 --bound 30 --format dot":
+        "1df12659d4b650b67638474b5af6c44a4a8faa886a50ec32d49efdcb05ec6511",
+    "twisted path --kind odd --ell 1 6,5,4,3,3,3,2,1":
+        "6b3a481891ac87f372a36e87d4135b5c951a87f25e02bd1d71e359a20cd7c2ba",
+    "eta --kind odd --ell 1 6,5,4,3,3,3,2,1":
+        "97be82ac8d7ef9b65eb5850dbbe5ad47b2131beb06cc3c3bc1b3731d8f39182a",
+    "eta --kind odd --ell 1 --check 6,5,4,3,3,3,2,1":
+        "cff2e41732d7adef147dea1059b9d0af50fa9153747340ecbaa583d8ad78b342",
+    "twisted path --kind even --ell 2 7,5,4,3,3,2":
+        "09313da5d7033d76b8fa694dd595e9ade72d47d76523823b041bb38fe25b4897",
+    "eta --kind even --ell 2 7,5,4,3,3,2":
+        "35c0b712670347add96b044f7f2d9f5cef99a6db6bc8dc0d02ce720b54afdf3e",
+    "eta --kind even --ell 2 --check 7,5,4,3,3,2":
+        "32bb519ee03330c297f6c6d789ddff77290a9b8dedb2ee6f5d25e03753746a89",
+    "twisted path --kind odd --ell 3 7,7,7,6,2,1":
+        "b7e4a51a4bbbcbdd068881f8bfdd258b456f54ddbd8aa10a3f20a7a6be868434",
+    "eta --kind odd --ell 3 7,7,7,6,2,1":
+        "37c82870b26e12d4a2ac376334486d15723170df9cdf5bd14ea1a9e19201a09c",
+    "eta --kind odd --ell 3 --check 7,7,7,6,2,1":
+        "b96f63136f64c8f5af910f22d2bc347a88e8982a3e4f2ebe8a425f88b81b91a2",
 }
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from helpers import all_partitions, diagram, distinct_partitions, from_diagram
@@ -230,19 +232,40 @@ def test_enumerate_twisted_edges_are_operator_arrows():
         assert e_twisted(dst, x, ODD2) == src
 
 
-@pytest.mark.parametrize("kind", [CrystalKind.odd(ell) for ell in (1, 2, 3)]
-                         + [CrystalKind.even(ell) for ell in (1, 2)], ids=str)
+@pytest.mark.parametrize("kind", [CrystalKind.odd(ell) for ell in (1, 2, 3, 4)]
+                         + [CrystalKind.even(ell) for ell in (1, 2, 3)], ids=str)
 def test_good_cogood_rows_match_signature_report(kind):
-    # one node scan bucketed by residue against one report per residue
+    # the one-pass kernel against one node_scan report per residue, which
+    # share no code: every member to 16 boxes, then 300 seeded members of
+    # 20-40 boxes
+    rng = random.Random(15)
+    levels = {n: class_partitions(n, kind) for n in range(20, 41)}
+    members = [lam for n in range(17) for lam in class_partitions(n, kind)]
+    members += [rng.choice(levels[rng.randint(20, 40)]) for _ in range(300)]
+    for lam in members:
+        good, cogood = twisted._good_cogood_rows(lam, kind)
+        for i in range(kind.modulus):
+            report = signature_report_twisted(lam, i, kind)
+            assert good[i] == (report.good.node[0] if report.good else 0), (lam, i)
+            assert cogood[i] == (report.cogood.node[0] if report.cogood else 0), (lam, i)
+
+
+@pytest.mark.parametrize("kind", SMALL_KINDS + (CrystalKind.odd(3), CrystalKind.even(3)), ids=str)
+def test_moved_raises_exactly_when_the_class_is_left(kind):
+    # the guard reads two neighbour pairs; the diagram it builds, from cells,
+    # must be a class member exactly when it does not raise
     for n in range(15):
-        for lam in all_partitions(n):
-            if not in_crystal_class(lam, kind):
-                continue
-            good, cogood = twisted._good_cogood_rows(lam, kind)
-            for i in range(kind.modulus):
-                report = signature_report_twisted(lam, i, kind)
-                assert good[i] == (report.good.node[0] if report.good else 0), (lam, i)
-                assert cogood[i] == (report.cogood.node[0] if report.cogood else 0), (lam, i)
+        for lam in class_partitions(n, kind):
+            for row in range(1, len(lam) + 2):
+                end = lam[row - 1] if row <= len(lam) else 0
+                for add, cells in ((True, diagram(lam) | {(row, end + 1)}),
+                                   (False, diagram(lam) - {(row, end)} if end else None)):
+                    mu = None if cells is None else from_diagram(cells)
+                    if mu is not None and in_crystal_class(mu, kind):
+                        assert twisted._moved(lam, row, kind, add) == mu
+                    else:
+                        with pytest.raises(InternalConsistencyError, match="left the class"):
+                            twisted._moved(lam, row, kind, add)
 
 
 @pytest.mark.parametrize("kind", [CrystalKind(parity, ell) for parity in ("odd", "even")

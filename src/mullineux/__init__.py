@@ -7,7 +7,6 @@ from .bijections import distinct_to_symmetric, durfee_length, symmetric_to_disti
 from .characters import (
     CountsTable,
     IdentityReport,
-    SeriesCoeffs,
     character_series,
     counts_table,
     verify_identity,

@@ -21,19 +21,8 @@ from .partitions import (
 from .twisted import enumerate_twisted
 
 
-@dataclass(frozen=True)
-class SeriesCoeffs:
-    """Exact coefficients of a truncated power series, index = degree."""
-
-    coeffs: tuple[int, ...]
-    trunc: int
-
-    def __getitem__(self, degree: int) -> int:
-        return self.coeffs[degree]
-
-
-def character_series(kind: CrystalKind, trunc: int) -> SeriesCoeffs:
-    """Coefficients of prod 1/(1 - t^i) over the kind's exponents, degree <= trunc.
+def character_series(kind: CrystalKind, trunc: int) -> tuple[int, ...]:
+    """Coefficients c[d] of prod 1/(1 - t^i) over the kind's exponents, d <= trunc.
 
     Odd kind: odd i not divisible by e.  Even kind: all odd i.
     """
@@ -46,7 +35,7 @@ def character_series(kind: CrystalKind, trunc: int) -> SeriesCoeffs:
             continue
         for d in range(i, trunc + 1):
             coeffs[d] += coeffs[d - i]
-    return SeriesCoeffs(tuple(coeffs), trunc)
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -54,7 +43,6 @@ class CountsTable:
     """Fixed-partition counts keyed by (size, zero-residue tally, middle tally)."""
 
     e: int
-    ell: int
     max_size: int
     counts: Mapping[tuple[int, int, int], int]
 
@@ -84,7 +72,7 @@ def counts_table(e: int, max_size: int) -> CountsTable:
                 raise InternalConsistencyError(
                     f"fixed {lam} (e={e}) violates the even-case parity constraint")
             counts[(n, m, mp)] = counts.get((n, m, mp), 0) + 1
-    return CountsTable(e, ell, max_size, counts)
+    return CountsTable(e, max_size, counts)
 
 
 def fixed_size_bound(kind: CrystalKind, max_degree: int) -> int:

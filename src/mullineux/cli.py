@@ -121,7 +121,7 @@ def _table_from_payload(e: int, bound: int, payload: str) -> CountsTable:
     for line in payload.splitlines():
         rec = json.loads(line)
         counts[(rec["n"], rec["m"], rec["mp"])] = rec["count"]
-    return CountsTable(e, e // 2, bound, counts)
+    return CountsTable(e, bound, counts)
 
 
 def cmd_verify(args) -> int:

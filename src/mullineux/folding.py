@@ -114,18 +114,18 @@ def expand_word(word, kind: CrystalKind) -> tuple[int, ...]:
     return tuple(x for r in word for x in expand_residue(r, kind))
 
 
-def unfold(lam: Partition, kind: CrystalKind, tie_break: str = "min") -> Partition:
+def unfold(lam: Partition, kind: CrystalKind) -> Partition:
     """Image of a twisted-crystal vertex in the type A good-node lattice.
 
     Expands a residue word for lam block by block and replays it by cogood
     addition from the empty partition; the result is Mullineux-fixed.
     """
-    return _unfold(lam, kind, tie_break)[1]
+    return _unfold(lam, kind)[1]
 
 
-def _unfold(lam: Partition, kind: CrystalKind, tie_break: str) -> tuple[tuple, Partition]:
+def _unfold(lam: Partition, kind: CrystalKind) -> tuple[tuple, Partition]:
     """The residue word of lam and the cogood replay of its block expansion."""
-    word = canonical_path_twisted(lam, kind, tie_break=tie_break)
+    word = canonical_path_twisted(lam, kind)
     try:
         return word, replay_path(expand_word(word, kind), kind.e)
     except ReplayError as exc:
@@ -190,7 +190,7 @@ def check_fold_relations(lam: Partition, kind: CrystalKind) -> FoldReport:
     (even kind); the middle tallies of the odd kind agree and are even, and
     the stated size/count parities hold.
     """
-    word, image = _unfold(lam, kind, "min")
+    word, image = _unfold(lam, kind)
     n = sum(lam)
     counts = tuple(word.count(r) for r in range(kind.modulus))
     profile = residue_counts(image, kind.e)

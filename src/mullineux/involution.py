@@ -19,15 +19,14 @@ from .partitions import (
     e_regular_partitions,
     residue_counts,
 )
-from .typea import _cogood_moves, _lowering, _require_regular, _residue_order, crystal_edges
+from .typea import _cogood_moves, _require_regular, crystal_edges
 
 
-def mullineux(lam: Partition, e: int, tie_break: str = "min") -> Partition:
+def mullineux(lam: Partition, e: int) -> Partition:
     """Image of lam under the Mullineux involution: peel e-rims into symbol
     columns (a, r), then rebuild, last column first, the rim parent of each
-    (a, a - r + eps).  tie_break is only checked: every crystal path has this image."""
+    (a, a - r + eps)."""
     _require_regular(lam, e)
-    _residue_order(e, tie_break)
     columns = []
     while lam:
         rows = len(lam)
@@ -46,14 +45,16 @@ def mullineux(lam: Partition, e: int, tie_break: str = "min") -> Partition:
 def mullineux_map(e: int, max_n: int) -> dict[Partition, Partition]:
     """Images of every e-regular partition of size at most max_n.  mu, first
     reached by an x-arrow from lam, maps to the cogood (-x mod e)-addition to
-    lam's image."""
+    lam's image.  The image's rows are read once per source vertex."""
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
-    lower = _lowering(*_cogood_moves(e))
-    images = {(): ()}
-    for lam, mu, x in crystal_edges(lower, e, max_n):
+    rows_of, add = _cogood_moves(e)
+    images, source = {(): ()}, None
+    for lam, mu, x in crystal_edges(rows_of, add, e, max_n):
         if mu not in images:
-            image = lower(images[lam], -x % e)
+            if lam is not source:
+                source, rows = lam, rows_of(images[lam])
+            image = add(images[lam], rows[-x % e])
             if image is None:
                 raise InternalConsistencyError(
                     f"negated word has no cogood step at {images[lam]} (e={e})")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
 from math import inf
 from typing import Iterator
 
@@ -56,10 +55,14 @@ def conjugate(lam: Partition) -> Partition:
 
 
 def is_e_regular(lam: Partition, e: int) -> bool:
-    """True iff every part value occurs fewer than e times."""
+    """True iff lam is a partition (weakly decreasing positive ints) in which
+    every part value occurs fewer than e times: each part exceeds the one
+    e - 1 rows below it."""
     if e < 2:
         raise ValueError(f"e must be at least 2, got {e}")
-    return all(sum(1 for _ in group) < e for _, group in groupby(lam))
+    return (all(isinstance(part, int) for part in lam)
+            and all(part >= below for part, below in zip(lam, (*lam[1:], 1)))
+            and all(part > below for part, below in zip(lam, lam[e - 1:])))
 
 
 def _fits(upper: int, lower: int, f: int, bound: float) -> bool:
@@ -70,9 +73,11 @@ def _fits(upper: int, lower: int, f: int, bound: float) -> bool:
 
 
 def _all_fit(lam: Partition, f: int, bound: float) -> bool:
+    """Every adjacent pair fits, and lam has no trailing 0 (which fits 0)."""
     if f < 2:
         raise ValueError(f"f must be at least 2, got {f}")
-    return all(_fits(upper, lower, f, bound) for upper, lower in zip(lam, lam[1:] + (0,)))
+    return 0 not in lam[-1:] and all(
+        _fits(upper, lower, f, bound) for upper, lower in zip(lam, lam[1:] + (0,)))
 
 
 def is_strict(lam: Partition, f: int) -> bool:

@@ -32,7 +32,6 @@ from .typea import (
     CrystalGraph,
     SignatureReport,
     _crystal_graph,
-    _lowering,
     _replay,
     _residue_value,
     _signature,
@@ -105,9 +104,11 @@ def _good_cogood_rows(lam: Partition, kind: CrystalKind) -> list[list[int]]:
     Each row reads, left to right, the seats of node_scan that fit: R2, R1,
     A1, A2.  With a count of pending A's per residue, the good node is the
     last R read with none pending and the cogood node the A that opens the
-    run still pending at the end, as in typea._normal_conormal_rows.  A pair
-    seat is kept as a negative row, and must not be chosen: the good node
-    is R1 and the cogood node A1.  Unchecked: lam must be a class member."""
+    run still pending at the end, as in typea._normal_conormal_rows.  A
+    fitting pair seat counts as a second seat of the same residue and row.
+    It is never chosen: R2 is read just before R1, which replaces it, and A2
+    just after A1, so it never opens a run.  Unchecked: lam must be a class
+    member."""
     f, pattern, m = kind.strict_f, kind.column_pattern, kind.modulus
     period = len(pattern)
     good, cogood, pending = [0] * m, [0] * m, [0] * m
@@ -117,34 +118,19 @@ def _good_cogood_rows(lam: Partition, kind: CrystalKind) -> list[list[int]]:
         # to it only on a multiple of f; a pair seat needs the same residue
         if part - 1 > below or part - 1 == below and below % f == 0:
             x = pattern[(part - 1) % period]
-            if pattern[(part - 2) % period] == x and (
-                    part - 2 > below or part - 2 == below and below % f == 0):
-                if pending[x]:
-                    pending[x] -= 1
-                else:
-                    good[x] = -row
-            if pending[x]:
-                pending[x] -= 1
-            else:
+            seats = 1 + (pattern[(part - 2) % period] == x and (
+                part - 2 > below or part - 2 == below and below % f == 0))
+            if pending[x] < seats:
                 good[x] = row
+            pending[x] = max(pending[x] - seats, 0)
         if above > part + 1 or above == part + 1 and above % f == 0:
             x = pattern[part % period]
             if not pending[x]:
                 cogood[x] = row
-            pending[x] += 1
-            if pattern[(part + 1) % period] == x and (
-                    above > part + 2 or above == part + 2 and above % f == 0):
-                if not pending[x]:
-                    cogood[x] = -row
-                pending[x] += 1
+            pending[x] += 1 + (pattern[(part + 1) % period] == x and (
+                above > part + 2 or above == part + 2 and above % f == 0))
         row, below = row - 1, part
-    cogood = [seat if count else 0 for seat, count in zip(cogood, pending)]
-    for name, tag, seats, shift in (("good", "R1", good, -1), ("cogood", "A1", cogood, 2)):
-        if min(seats) < 0:
-            row = -min(seats)
-            raise InternalConsistencyError(
-                f"{name} node {(row, (lam + (0,))[row - 1] + shift)} of {lam} is not {tag}")
-    return [good, cogood]
+    return [good, [seat if count else 0 for seat, count in zip(cogood, pending)]]
 
 
 def signature_report_twisted(lam: Partition, i, kind: CrystalKind) -> SignatureReport:
@@ -185,7 +171,7 @@ def _moved(lam: Partition, row: int, kind: CrystalKind, add: bool) -> Partition 
 
 
 def _f_moves(kind: CrystalKind):
-    """rows_of and add of f_twisted, for _lowering and _replay."""
+    """rows_of and add of f_twisted, for crystal_edges and _replay."""
     return (lambda lam: _good_cogood_rows(lam, kind)[1],
             lambda lam, row: _moved(lam, row, kind, True))
 
@@ -204,15 +190,14 @@ def e_twisted(lam: Partition, i, kind: CrystalKind) -> Partition | None:
     return _moved(lam, row, kind, False)
 
 
-def canonical_path_twisted(lam: Partition, kind: CrystalKind,
-                           tie_break: str = "min") -> tuple[int, ...]:
+def canonical_path_twisted(lam: Partition, kind: CrystalKind) -> tuple[int, ...]:
     """A residue word whose f_twisted replay from empty rebuilds lam; one
-    letter per box, chosen by stripping good nodes at the first residue (in
-    tie_break order) that has one."""
+    letter per box, chosen by stripping good nodes at the smallest residue
+    that has one."""
     _require_class(lam, kind)
     return _strip_good_nodes(lam, lambda cur: _good_cogood_rows(cur, kind)[0],
                              lambda cur, row: _moved(cur, row, kind, False),
-                             kind.modulus, tie_break, "class member")
+                             "class member")
 
 
 def replay_twisted(word, kind: CrystalKind) -> Partition:
@@ -229,6 +214,6 @@ def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    return _crystal_graph(_lowering(*_f_moves(kind)), kind.modulus, max_depth,
+    return _crystal_graph(_f_moves(kind), kind.modulus, max_depth,
                           lambda n: class_partitions(n, kind),
                           f"class_partitions at {kind.parity} ell={kind.ell}")

@@ -178,20 +178,13 @@ def _normal_conormal_rows(lam: Partition, e: int) -> tuple[list[tuple], list[tup
     return normal, pending
 
 
-def _residue_order(modulus: int, tie_break: str) -> range:
-    if tie_break not in ("min", "max"):
-        raise ValueError(f"tie_break must be 'min' or 'max', got {tie_break!r}")
-    return range(modulus) if tie_break == "min" else range(modulus - 1, -1, -1)
-
-
-def _strip_good_nodes(lam: Partition, good_rows, remove, modulus: int,
-                      tie_break: str, label: str) -> tuple[int, ...]:
+def _strip_good_nodes(lam: Partition, good_rows, remove, label: str) -> tuple[int, ...]:
     """The reversed word of residues at which remove(cur, good_rows(cur)[x])
-    strips lam, always at the first x in tie_break order with a good node."""
-    order, word, cur = _residue_order(modulus, tie_break), [], lam
+    strips lam, always at the smallest x with a good node."""
+    word, cur = [], lam
     while cur:
         rows = good_rows(cur)
-        x = next((x for x in order if rows[x]), None)
+        x = next((x for x, row in enumerate(rows) if row), None)
         if x is None:
             raise InternalConsistencyError(f"nonempty {label} {cur} has no good node")
         word.append(x)
@@ -200,16 +193,16 @@ def _strip_good_nodes(lam: Partition, good_rows, remove, modulus: int,
     return tuple(word)
 
 
-def canonical_path(lam: Partition, e: int, tie_break: str = "min") -> tuple[int, ...]:
+def canonical_path(lam: Partition, e: int) -> tuple[int, ...]:
     """A residue word whose cogood-addition replay from empty rebuilds lam.
 
-    Strips good nodes one at a time, always at the first residue (in
-    tie_break order) that has one, and returns the reversed removal word.
+    Strips good nodes one at a time, always at the smallest residue that has
+    one, and returns the reversed removal word.
     """
     _require_regular(lam, e)
     return _strip_good_nodes(lam, lambda cur: _normal_conormal_rows(cur, e)[0],
                              lambda cur, rows: _remove_box(cur, rows[-1]),
-                             e, tie_break, f"{e}-regular partition")
+                             f"{e}-regular partition")
 
 
 class ReplayError(ValueError):
@@ -245,50 +238,38 @@ class CrystalGraph:
         return tuple(len(level) for level in self.levels)
 
 
-def crystal_edges(lower, modulus: int, depth: int):
-    """Every arrow (lam, mu, x) grown from () by the lowering operator
-    lower(lam, x) (None when there is no x-arrow), up to depth boxes: level
-    by level, lam in lex order within a level, x ascending."""
+def crystal_edges(rows_of, add, modulus: int, depth: int):
+    """Every arrow (lam, add(lam, rows_of(lam)[x]), x) grown from () up to
+    depth boxes, add giving None when there is no x-arrow: level by level, lam
+    in lex order within a level, x ascending.  rows_of runs once per vertex;
+    the pair is the one _replay takes."""
     level: list[Partition] = [()]
     for _ in range(depth):
         seen = set()
         for lam in level:
+            rows = rows_of(lam)
             for x in range(modulus):
-                mu = lower(lam, x)
+                mu = add(lam, rows[x])
                 if mu is not None:
                     seen.add(mu)
                     yield lam, mu, x
         level = sorted(seen)
 
 
-def _lowering(rows_of, add):
-    """lower(lam, x) = add(lam, rows_of(lam)[x]) for crystal_edges, with
-    rows_of computed once per vertex and kept for one level (size) at a time."""
-    memo: dict[Partition, list] = {}
-
-    def lower(lam, x):
-        rows = memo.get(lam)
-        if rows is None:
-            if memo and sum(next(iter(memo))) != sum(lam):
-                memo.clear()
-            rows = memo[lam] = rows_of(lam)
-        return add(lam, rows[x])
-    return lower
-
-
 def _cogood_moves(e: int):
-    """rows_of and add of cogood addition in the e-good lattice, for _lowering
-    and _replay: the conormal rows of every residue, and the first one's box."""
+    """rows_of and add of cogood addition in the e-good lattice, for
+    crystal_edges and _replay: the conormal rows of every residue, and the
+    first one's box."""
     if e < 2:
         raise ValueError(f"e must be at least 2, got {e}")
     return (lambda lam: _normal_conormal_rows(lam, e)[1],
             lambda lam, rows: _add_box(lam, rows[0] if rows else 0))
 
 
-def _crystal_graph(lower, modulus: int, depth: int, expected, label: str) -> CrystalGraph:
-    """Graph of crystal_edges(lower, modulus, depth); a level n >= 1 that
+def _crystal_graph(moves, modulus: int, depth: int, expected, label: str) -> CrystalGraph:
+    """Graph of crystal_edges(*moves, modulus, depth); a level n >= 1 that
     differs from expected(n) raises, naming the level and the label."""
-    edges = tuple(crystal_edges(lower, modulus, depth))
+    edges = tuple(crystal_edges(*moves, modulus, depth))
     reached: list[set[Partition]] = [{()}] + [set() for _ in range(depth)]
     for _, mu, _ in edges:
         reached[sum(mu)].add(mu)
@@ -309,5 +290,5 @@ def enumerate_kleshchev(e: int, max_n: int) -> CrystalGraph:
     """
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
-    return _crystal_graph(_lowering(*_cogood_moves(e)), e, max_n,
+    return _crystal_graph(_cogood_moves(e), e, max_n,
                           lambda n: e_regular_partitions(n, e), f"e_regular_partitions at e={e}")

@@ -194,21 +194,50 @@ def forbid_crystal(monkeypatch):
     monkeypatch.setattr(typea, "_normal_conormal_rows", refuse)
 
 
+def largest_residue_word(lam, remove, modulus):
+    """A second residue word for lam, apart from the library's strip: remove
+    good nodes through the public raising operator remove(cur, x), always at
+    the largest residue x that has one, and reverse the removal word."""
+    word = []
+    while lam:
+        for x in range(modulus - 1, -1, -1):
+            down = remove(lam, x)
+            if down is not None:
+                break
+        else:
+            raise AssertionError(f"{lam} has no good node")
+        word.append(x)
+        lam = down
+    return tuple(reversed(word))
+
+
+def unfold_by_largest(lam, kind):
+    """unfold's image of lam, rebuilt by replaying the block expansion of its
+    largest-residue word from e_twisted."""
+    from mullineux.folding import expand_word
+    from mullineux.twisted import e_twisted
+    from mullineux.typea import replay_path
+
+    word = largest_residue_word(lam, lambda cur, i: e_twisted(cur, i, kind), kind.modulus)
+    return replay_path(expand_word(word, kind), kind.e)
+
+
 def unfold_walk(kind, max_size):
     """Every twisted-crystal vertex whose unfolded image has at most max_size
     boxes, mapped to that image: the third fixed-point route, after the
-    symbols and the brute-force map.  A pruned crystal_edges walk: an x-arrow
-    lam -> mu extends lam's image by the block expand_residue(x) through
-    cogood additions, and is cut once the image would pass max_size, which
-    is sound as every arrow grows the image by its block.  A vertex reached
-    by a second arrow must get the same image."""
+    symbols and the brute-force map.  A pruned crystal_edges walk whose rows
+    are the residues themselves: add(lam, x) takes the x-arrow lam -> mu and
+    extends lam's image by the block expand_residue(x) through cogood
+    additions, and is cut once the image would pass max_size, which is sound
+    as every arrow grows the image by its block.  A vertex reached by a
+    second arrow must get the same image."""
     from mullineux.folding import expand_residue
     from mullineux.twisted import f_twisted
     from mullineux.typea import add_cogood, crystal_edges
 
     images = {(): ()}
 
-    def lower(lam, x):
+    def add(lam, x):
         image, block = images[lam], expand_residue(x, kind)
         mu = f_twisted(lam, x, kind)
         if mu is None or sum(image) + len(block) > max_size:
@@ -219,6 +248,6 @@ def unfold_walk(kind, max_size):
         assert images.setdefault(mu, image) == image, (lam, x)
         return mu
 
-    for _ in crystal_edges(lower, kind.modulus, max_size):
+    for _ in crystal_edges(lambda lam: range(kind.modulus), add, kind.modulus, max_size):
         pass
     return images

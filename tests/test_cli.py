@@ -9,7 +9,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from helpers import stair
+from helpers import distinct_odd_counts, stair
 from hypothesis import given, settings
 
 import mullineux
@@ -230,6 +230,23 @@ def test_unversioned_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch):
         "0 1 1 1 ok\n"
         "1 1 1 1 ok\n"
         "PASS\n")
+
+
+def test_cold_verify_leaves_one_counts_entry(capsys, tmp_path, monkeypatch):
+    # The format the benchmark's identity check reads back: a cold verify
+    # writes one entry, whose payload lines are {count, m, mp, n} records
+    # that sum, per size n, to the fixed-point counts.
+    root = tmp_path / "cache"
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(root))
+    assert main(["verify", "--kind", "odd", "--ell", "1", "--max-deg", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    (entry,) = root.iterdir()
+    fixed = [0] * 13
+    for line in json.loads(entry.read_text(encoding="utf-8"))["payload"].splitlines():
+        record = json.loads(line)
+        assert set(record) == {"count", "m", "mp", "n"}
+        fixed[record["n"]] += record["count"]
+    assert fixed == distinct_odd_counts(3, 12)
 
 
 def test_internal_error_has_its_own_exit_code(capsys, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import pytest
+from helpers import unfold_by_largest
 
 from mullineux import folding
 from mullineux.folding import (
@@ -90,7 +91,7 @@ def test_unfold_spot_values():
 def test_unfold_is_path_independent(kind):
     for n in range(9):
         for lam in class_partitions(n, kind):
-            assert unfold(lam, kind) == unfold(lam, kind, tie_break="max")
+            assert unfold(lam, kind) == unfold_by_largest(lam, kind)
 
 
 @pytest.mark.parametrize("kind", (ODD1, ODD2, CrystalKind.odd(3),

@@ -9,6 +9,7 @@ from helpers import (
     forbid_crystal,
     from_diagram,
     is_regular,
+    largest_residue_word,
     mullineux_on_symbol,
     mullineux_symbol,
     random_e_regular_partitions,
@@ -28,7 +29,7 @@ from mullineux.involution import (
     regular_count,
 )
 from mullineux.partitions import InternalConsistencyError, conjugate, e_regular_partitions
-from mullineux.typea import canonical_path, replay_path
+from mullineux.typea import canonical_path, remove_good, replay_path
 
 
 def test_spot_images():
@@ -45,7 +46,7 @@ def test_involution_and_path_independence(e):
         for lam in e_regular_partitions(n, e):
             image = mullineux(lam, e)
             assert mullineux(image, e) == lam
-            assert mullineux(lam, e, tie_break="max") == image
+            assert box_route(lam, e, "max") == image
 
 
 @pytest.mark.parametrize("e", [3, 4, 5, 6])
@@ -56,10 +57,12 @@ def test_small_sizes_degenerate_to_conjugate(e):
             assert mullineux(lam, e) == conjugate(lam)
 
 
-def box_route(lam, e, tie_break):
-    """The reference: strip lam one good node at a time, then replay the
-    negated reversed word one cogood node at a time."""
-    word = canonical_path(lam, e, tie_break=tie_break)
+def box_route(lam, e, order):
+    """The reference: strip lam one good node at a time, at the smallest
+    residue (canonical_path) or the largest (remove_good) that has one, then
+    replay the negated reversed word one cogood node at a time."""
+    word = canonical_path(lam, e) if order == "min" else largest_residue_word(
+        lam, lambda cur, x: remove_good(cur, x, e), e)
     return replay_path(tuple(-x % e for x in word), e)
 
 
@@ -69,8 +72,8 @@ def test_string_route_matches_the_box_route(e):
     small = [lam for n in range(17) for lam in e_regular_partitions(n, e)]
     large = random_e_regular_partitions(e, 500, 40, 60, seed=e)
     for lam in small + large:
-        for tie_break in ("min", "max"):
-            assert mullineux(lam, e, tie_break) == box_route(lam, e, tie_break), (lam, tie_break)
+        for order in ("min", "max"):
+            assert mullineux(lam, e) == box_route(lam, e, order), (lam, order)
 
 
 # Near MAX_BOXES: the most rows per box at small e, then e = 1000 columns.
@@ -109,15 +112,11 @@ def test_mullineux_never_walks_the_crystal(monkeypatch):
 
 def test_mullineux_map_needs_a_cogood_step(monkeypatch):
     # An arrow () -> (1,) at residue 1 asks for a cogood 2-node of (), which has none.
-    monkeypatch.setattr(involution, "crystal_edges", lambda lower, e, max_n: [((), (1,), 1)])
+    monkeypatch.setattr(involution, "crystal_edges",
+                        lambda rows_of, add, e, max_n: [((), (1,), 1)])
     with pytest.raises(InternalConsistencyError,
                        match=r"negated word has no cogood step at \(\) \(e=3\)"):
         mullineux_map(3, 1)
-
-
-def test_mullineux_rejects_a_bad_tie_break():
-    with pytest.raises(ValueError, match="tie_break must be 'min' or 'max', got 'mid'"):
-        mullineux((2, 1), 3, tie_break="mid")
 
 
 def test_e2_is_identity():

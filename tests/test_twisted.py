@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from helpers import all_partitions, diagram, distinct_partitions, from_diagram
+from helpers import (
+    all_partitions,
+    diagram,
+    distinct_partitions,
+    from_diagram,
+    largest_residue_word,
+)
 
 from mullineux import twisted
 from mullineux.partitions import (
@@ -89,6 +95,15 @@ def test_node_scan_matches_cell_oracle(kind):
 def test_node_scan_rejects_non_strict():
     with pytest.raises(ValueError):
         node_scan((1, 1), ODD1)
+
+
+@pytest.mark.parametrize("lam", [(2, 0), (3, 0), (2, 0, 0)])
+def test_class_entry_points_reject_trailing_zeros(lam):
+    assert not in_crystal_class(lam, ODD1)
+    for call in (lambda: canonical_path_twisted(lam, ODD1), lambda: f_twisted(lam, 0, ODD1),
+                 lambda: e_twisted(lam, 1, ODD1), lambda: node_scan(lam, ODD1)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_node_scan_spot_values():
@@ -185,8 +200,8 @@ def test_canonical_path_twisted_replays(kind):
             word = canonical_path_twisted(lam, kind)
             assert len(word) == n
             assert replay_twisted(word, kind) == lam
-            assert replay_twisted(
-                canonical_path_twisted(lam, kind, tie_break="max"), kind) == lam
+            assert replay_twisted(largest_residue_word(
+                lam, lambda cur, i: e_twisted(cur, i, kind), kind.modulus), kind) == lam
 
 
 def test_canonical_path_twisted_examples():

@@ -2,9 +2,16 @@ import pytest
 from hypothesis import given
 
 from conftest import ar_words_st, partitions_st
-from helpers import all_partitions, cancel_by_deletion, diagram, from_diagram
+from helpers import (
+    all_partitions,
+    cancel_by_deletion,
+    diagram,
+    from_diagram,
+    largest_residue_word,
+)
 
 from mullineux import typea
+from mullineux.involution import mullineux
 from mullineux.partitions import (
     CrystalKind,
     InternalConsistencyError,
@@ -97,6 +104,15 @@ def test_remove_and_add_examples():
     assert add_cogood((1, 1), 1, 3) == (2, 1)
 
 
+@pytest.mark.parametrize("lam", [(1, 2), (2, 0), (0,), (3, -1), (2.5, 1)])
+def test_entry_points_reject_non_partitions(lam):
+    assert not is_e_regular(lam, 3)
+    for call in (lambda: mullineux(lam, 3), lambda: canonical_path(lam, 3),
+                 lambda: add_cogood(lam, 0, 3), lambda: remove_good(lam, 0, 3)):
+        with pytest.raises(ValueError, match="is not 3-regular"):
+            call()
+
+
 @pytest.mark.parametrize("e", [2, 3, 4])
 def test_remove_add_are_mutually_inverse(e):
     for n in range(9):
@@ -119,7 +135,7 @@ def test_canonical_path_replays(e):
             word = canonical_path(lam, e)
             assert len(word) == n
             assert replay_path(word, e) == lam
-            word_max = canonical_path(lam, e, tie_break="max")
+            word_max = largest_residue_word(lam, lambda cur, x: remove_good(cur, x, e), e)
             assert replay_path(word_max, e) == lam
 
 

@@ -3,7 +3,7 @@
 Both identities equate three independent counts, degree by degree: the
 coefficient of a pure product series over odd exponents, the number of
 twisted-crystal vertices at that depth, and a signed-index sum over
-Mullineux-fixed partitions (built from their symbols) grouped by two residue
+Mullineux-fixed partitions (counted on their symbols) grouped by two residue
 tallies.  Everything is plain integer arithmetic; nothing is floating point.
 """
 
@@ -12,12 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .involution import _fixed_levels
-from .partitions import (
-    CrystalKind,
-    InternalConsistencyError,
-    residue_counts,
-)
+from .involution import _fixed_tallies
+from .partitions import CrystalKind, InternalConsistencyError
 from .twisted import enumerate_twisted
 
 
@@ -54,24 +50,15 @@ class CountsTable:
 
 
 def counts_table(e: int, max_size: int) -> CountsTable:
-    """Group the Mullineux-fixed partitions of every size <= max_size by
-    (N_0, N_ell) with ell = e // 2, asserting the parity constraints that
-    fixed partitions are known to satisfy.  The fixed partitions come from
-    their Mullineux symbols, level by level; the crystal is not walked."""
-    ell = e // 2
-    counts: dict[tuple[int, int, int], int] = {}
-    for n, level in enumerate(_fixed_levels(e, max_size)):
-        for lam in level:
-            profile = residue_counts(lam, e)
-            m, mp = profile[0], profile[ell]
-            if e % 2 == 1:
-                if mp % 2 or (n - m) % 2:
-                    raise InternalConsistencyError(
-                        f"fixed {lam} (e={e}) violates the odd-case parity constraints")
-            elif (n - m - mp) % 2:
-                raise InternalConsistencyError(
-                    f"fixed {lam} (e={e}) violates the even-case parity constraint")
-            counts[(n, m, mp)] = counts.get((n, m, mp), 0) + 1
+    """Count the Mullineux-fixed partitions of every size <= max_size by
+    (N_0, N_ell), ell = e // 2, on their symbols' columns, asserting the
+    parity constraints that fixed partitions are known to satisfy."""
+    counts = _fixed_tallies(e, max_size)
+    for n, m, mp in counts:
+        if (mp % 2 or (n - m) % 2) if e % 2 else (n - m - mp) % 2:
+            raise InternalConsistencyError(
+                f"fixed points of size {n} with N_0 = {m}, N_ell = {mp} violate the "
+                f"{'odd' if e % 2 else 'even'}-case parity constraints (e={e})")
     return CountsTable(e, max_size, counts)
 
 

@@ -3,10 +3,9 @@
 Peeling e-rims off an e-regular partition gives columns (a_i, r_i) (rim size,
 rows), which the involution maps to (a_i, a_i - r_i + eps_i), eps_i = 0 if
 e | a_i and 1 otherwise (Ford-Kleshchev 1997).  `mullineux` rebuilds the image
-from the mapped columns, last first, as e-rim parents; the fixed points are
-the partitions whose columns the map keeps, grown from smaller ones the same
-way.  Neither walks the crystal.  `mullineux_map`, which negates crystal paths
-over all of K_<=n, is the tests' reference for both.
+from the mapped columns, last first, as e-rim parents.  The fixed points keep
+every column: a local rule on adjacent columns counts them and prunes their
+listing.  No route walks the crystal; `mullineux_map` is the tests' reference.
 """
 
 from __future__ import annotations
@@ -34,11 +33,7 @@ def mullineux(lam: Partition, e: int) -> Partition:
         columns.append((a, rows))
     image = ()
     for a, r in reversed(columns):
-        parent = _rim_parent(image, a - r + (a % e != 0), a, e)
-        if parent is None:
-            raise InternalConsistencyError(
-                f"symbol column ({a}, {r}) has no rim parent of {image} (e={e})")
-        image = parent
+        image = _column_parent(image, a - r + (a % e != 0), a, e)
     return image
 
 
@@ -120,39 +115,67 @@ def _rim_parent(mu: Partition, r: int, a: int, e: int) -> Partition | None:
     return tuple(lam) if segment(0, a, 0) else None
 
 
-def _fixed_levels(e: int, max_n: int):
-    """The Mullineux-fixed partitions of sizes 0..max_n, a list per size in no
-    set order, yielded once complete.  lam is fixed iff 2 r_i = a_i + eps_i in
-    every symbol column, so peeling its e-rim leaves a fixed mu, takes
-    a = 2r - 1 (e not dividing a) or 2r (e dividing a) nodes, and r <= len(mu)
-    + e, as rows past len(mu) + 1 are 1s: each level is the rim parents of
-    smaller ones.  It holds the level in hand and those not yet yielded."""
+def _column_parent(mu: Partition, r: int, a: int, e: int) -> Partition:
+    lam = _rim_parent(mu, r, a, e)
+    if lam is not None:
+        return lam
+    raise InternalConsistencyError(f"symbol column ({a}, {r}) has no rim parent of {mu} (e={e})")
+
+
+def _fixed_columns(e: int, max_n: int) -> list[list[tuple[int, int, int, int]]]:
+    """Entry r: the fixed symbol columns (rows, a, N_0, N_ell), ell = e // 2, of
+    at most max_n nodes that fit just outside a fixed column of r rows (r = 0:
+    the terminator (0, 0) below the last).  Bessenrodt-Olsson: in the symbol of
+    an e-regular partition, each column (a, r) with s = a - r + eps image rows
+    exceeds the next inward by eps..e - 1 + eps in r and in s; fixed: s = r.
+    An e-rim holds a // e nodes of each residue, then 1 - r, ..., a % e - r."""
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     if e < 2:
         raise ValueError(f"e must be at least 2, got {e}")
-    if e == 2:
-        yield from (_fixed_level(2, n) for n in range(max_n + 1))
-        return
-    ahead = [[()]] + [[] for _ in range(max_n)]
-    for size in range(max_n + 1):
-        level, ahead[size] = ahead[size], []
-        yield level
-        for mu in level:
-            for r in range(max(len(mu), 1), min(len(mu) + e, (max_n - size + 1) // 2) + 1):
-                for a in (2 * r - 1, 2 * r):
-                    if size + a <= max_n and (a % e == 0) == (a % 2 == 0):
-                        lam = _rim_parent(mu, r, a, e)
-                        if lam is not None:
-                            ahead[size + a].append(lam)
+    columns: list[list[tuple[int, int, int, int]]] = [[] for _ in range((max_n + 3) // 2)]
+    for rows in range(1, (max_n + 3) // 2):
+        for a, eps in ((2 * rows - 1, 1), (2 * rows, 0)):
+            if a <= max_n and eps == (a % e != 0):
+                tally = (rows, a, *(a // e + ((x + rows - 1) % e < a % e) for x in (0, e // 2)))
+                for r in range(max(rows - e + 1 - eps, 0), rows - eps + 1):
+                    columns[r].append(tally)
+    return columns
 
 
-def _fixed_level(e: int, n: int) -> list[Partition]:
-    """The Mullineux-fixed partitions of n, in no set order."""
-    if e == 2:  # the identity at e = 2: K_n is the level, listed faster than the walk
-        return e_regular_partitions(n, 2)
-    for level in _fixed_levels(e, n):
-        pass  # keep only the last level
+def _fixed_tallies(e: int, max_n: int) -> dict[tuple[int, int, int], int]:
+    """Counts of the Mullineux-fixed partitions by (size n <= max_n, N_0, N_ell),
+    size by size over (rows, N_0, N_ell) states: no partition is built."""
+    columns, counts = _fixed_columns(e, max_n), {}
+    levels: list[dict] = [{(0, 0, 0): 1}] + [{} for _ in range(max_n)]
+    for n, level in enumerate(levels):
+        for (r, m, mp), count in level.items():
+            counts[n, m, mp] = counts.get((n, m, mp), 0) + count
+            for rows, a, d0, dl in columns[r]:
+                if n + a <= max_n:
+                    key = (rows, m + d0, mp + dl)
+                    levels[n + a][key] = levels[n + a].get(key, 0) + count
+    return counts
+
+
+def _fixed_partitions(e: int, n: int) -> list[Partition]:
+    """The Mullineux-fixed partitions of n, in no set order: each lam is the rim
+    parent of the one inside, and a column is tried only where outer ones can
+    fill the nodes left exactly.  A column with e | a may repeat, so the walk
+    keeps a stack: recursion would be n / 6 deep at e = 3, past CPython's limit."""
+    columns = _fixed_columns(e, n)
+    fills = [[True] + [False] * n for _ in columns]
+    for left in range(1, n + 1):
+        for r, fill in enumerate(fills):
+            fill[left] = any(a <= left and fills[rows][left - a] for rows, a, *_ in columns[r])
+    level, stack = [], [((), 0, n)]
+    while stack:
+        mu, r, left = stack.pop()
+        if not left:
+            level.append(mu)
+        for rows, a, *_ in columns[r]:
+            if a <= left and fills[rows][left - a]:
+                stack.append((_column_parent(mu, rows, a, e), rows, left - a))
     return level
 
 
@@ -160,8 +183,8 @@ def fixed_set(e: int, n: int) -> list[FixedPointRecord]:
     """All Mullineux-fixed e-regular partitions of n, sorted lexicographically."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    return [FixedPointRecord(lam, n, residue_counts(lam, e))
-            for lam in sorted(_fixed_level(e, n))]
+    level = e_regular_partitions(n, 2) if e == 2 else _fixed_partitions(e, n)
+    return [FixedPointRecord(lam, n, residue_counts(lam, e)) for lam in sorted(level)]
 
 
 def regular_count(e: int, n: int) -> int:
@@ -189,7 +212,8 @@ def irr_alternating_count(e: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return _alternating_count(e, n, regular_count(e, n), len(_fixed_level(e, n)))
+    fixed = sum(count for (size, _, _), count in _fixed_tallies(e, n).items() if size == n)
+    return _alternating_count(e, n, regular_count(e, n), fixed)
 
 
 def _alternating_count(e: int, n: int, regular: int, fixed: int) -> int:

@@ -251,3 +251,81 @@ def unfold_walk(kind, max_size):
     for _ in crystal_edges(lambda lam: range(kind.modulus), add, kind.modulus, max_size):
         pass
     return images
+
+
+def fixed_levels(e, max_n):
+    """The Mullineux-fixed partitions of sizes 0..max_n, a list per size in no
+    set order: the route the library took before its column automaton, kept
+    as the reference.  lam is fixed iff 2 r_i = a_i + eps_i in every symbol
+    column, so peeling its e-rim leaves a fixed mu, takes a = 2r - 1 (e not
+    dividing a) or 2r (e dividing a) nodes, and r <= len(mu) + e, as rows past
+    len(mu) + 1 are 1s: each level is the rim parents of the smaller ones,
+    tried for every (mu, r, a) that fits."""
+    from mullineux.involution import _rim_parent
+
+    levels = [[()]] + [[] for _ in range(max_n)]
+    for size, level in enumerate(levels):
+        for mu in level:
+            for r in range(max(len(mu), 1), min(len(mu) + e, (max_n - size + 1) // 2) + 1):
+                for a in (2 * r - 1, 2 * r):
+                    if size + a <= max_n and (a % e == 0) == (a % 2 == 0):
+                        lam = _rim_parent(mu, r, a, e)
+                        if lam is not None:
+                            levels[size + a].append(lam)
+    return levels
+
+
+def fixed_counts_by_residues(e, max_n):
+    """fixed_levels grouped by (size, N_0, N_ell), ell = e // 2, with each
+    partition's residues tallied by residue_counts."""
+    from mullineux.partitions import residue_counts
+
+    counts = {}
+    for n, level in enumerate(fixed_levels(e, max_n)):
+        for lam in level:
+            profile = residue_counts(lam, e)
+            key = (n, profile[0], profile[e // 2])
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def peeled_symbol(lam, e):
+    """Mullineux's symbol by the library's one-pass e-rim peel, outermost
+    column (a, r) first."""
+    from mullineux.involution import _peel_rim
+
+    columns = []
+    while lam:
+        rows = len(lam)
+        lam, a = _peel_rim(lam, e)
+        columns.append((a, rows))
+    return tuple(columns)
+
+
+def rule_symbols(e, max_n):
+    """Every symbol of at most max_n nodes, outermost column first, that
+    Bessenrodt-Olsson's rule accepts: each column (a, r), with s = a - r + eps
+    image rows (eps = 0 if e | a, else 1), and the next column inward, or the
+    terminator (0, 0) below the last, satisfy eps <= r - r_inner <= e - 1 +
+    eps and eps <= s - s_inner <= e - 1 + eps.  Grown from the terminator
+    outward with an explicit stack."""
+    found, stack = set(), [((), 0, 0, 0)]  # (columns innermost first, r, s, nodes)
+    while stack:
+        inner, r, s, n = stack.pop()
+        found.add(inner[::-1])
+        for a in range(1, max_n - n + 1):
+            eps = 1 if a % e else 0
+            for rows in range(r + eps, r + e + eps):
+                if eps <= a - rows + eps - s <= e - 1 + eps:
+                    stack.append((inner + ((a, rows),), rows, a - rows + eps, n + a))
+    return found
+
+
+def rim_tally(a, r, e):
+    """Nodes of each residue in an e-rim of a nodes over r rows: a // e full
+    segments hold every residue once, and the short last one, ending at node
+    (r, 1), holds the residues k - r for k = 1..a % e."""
+    tally = [a // e] * e
+    for k in range(1, a % e + 1):
+        tally[(k - r) % e] += 1
+    return tally

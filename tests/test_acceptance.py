@@ -14,7 +14,7 @@ from mullineux.bijections import distinct_to_symmetric, symmetric_to_distinct
 from mullineux.characters import character_series, verify_identity
 from mullineux.folding import check_fold_relations, fold_cartan, unfold
 from mullineux.involution import (
-    _fixed_levels,
+    fixed_set,
     irr_alternating_count,
     mullineux,
     mullineux_map,
@@ -179,13 +179,14 @@ def test_c6_folding_suite():
 @pytest.mark.parametrize("e, max_size", [(3, 56), (5, 48), (4, 40), (7, 40)])
 def test_c6_unfold_walk_meets_the_symbol_route(e, max_size):
     # The paper's bijection size by size: the images of the pruned twisted
-    # walk are exactly the fixed points built from Mullineux symbols (and,
-    # to 20 boxes, by brute force), and each is the unfold of its vertex and
-    # the replay of the vertex's largest-residue word.
+    # walk are exactly the fixed points that fixed_set lists from Mullineux
+    # symbols (and, to 20 boxes, those of the brute-force map), and each is
+    # the unfold of its vertex and the replay of its largest-residue word.
     kind = kind_for(e)
     images = unfold_walk(kind, max_size)
-    for n, level in enumerate(_fixed_levels(e, max_size)):
-        assert sorted(image for image in images.values() if sum(image) == n) == sorted(level), n
+    for n in range(max_size + 1):
+        assert sorted(image for image in images.values() if sum(image) == n) == [
+            rec.partition for rec in fixed_set(e, n)], n
     brute = mullineux_map(e, 20)
     assert sorted(image for image in images.values() if sum(image) <= 20) == sorted(
         lam for lam, image in brute.items() if image == lam)

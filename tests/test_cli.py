@@ -13,7 +13,7 @@ from helpers import distinct_odd_counts, stair
 from hypothesis import given, settings
 
 import mullineux
-from mullineux import characters, involution, twisted
+from mullineux import involution, twisted
 from mullineux.cache import Cache, _digest
 from mullineux.cli import EXIT_INTERNAL, EXIT_USAGE, MAX_BOXES, MAX_E, main
 from mullineux.export import _dump
@@ -202,15 +202,16 @@ def test_fixed_rejects_e_below_two_and_caches_nothing(capsys, tmp_path, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: e must be at least 2, got 0\n"
-    # A counts table whose build fails is not stored: (2,) breaks the odd-case
-    # parity (one 0-node and one 1-node at e = 3).
-    monkeypatch.setattr(characters, "_fixed_levels",
-                        lambda e, max_n: iter([[()], [], [(2,)], [], []]))
+    # A counts table whose build fails is not stored: a column source that
+    # tallies the one node of the column (1, 1) at residue 1, not 0, breaks
+    # the odd-case parity (N_ell = 1 at e = 3).
+    monkeypatch.setattr(involution, "_fixed_columns", lambda e, max_n: [[(1, 1, 0, 1)], []])
     assert main(["verify", "--kind", "odd", "--ell", "1", "--max-deg", "1"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "internal error: fixed (2,) (e=3) violates the odd-case parity constraints\n")
+        "internal error: fixed points of size 1 with N_0 = 0, N_ell = 1 violate the "
+        "odd-case parity constraints (e=3)\n")
     assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
 
 
@@ -454,6 +455,15 @@ PINNED_COMMANDS = COMMANDS + [
       for cmd in (["twisted", "path", "--kind", kind, "--ell", ell, lam],
                   ["eta", "--kind", kind, "--ell", ell, lam],
                   ["eta", "--kind", kind, "--ell", ell, "--check", lam])),
+    # Fixed-side sizes past the bench's: the counts DP, its parity checks and
+    # the listing walk.
+    ["verify", "--kind", "odd", "--ell", "1", "--max-deg", "30"],
+    ["verify", "--kind", "even", "--ell", "1", "--max-deg", "20", "--json"],
+    ["verify", "--kind", "even", "--ell", "3", "--max-deg", "12"],
+    ["alt-count", "-e", "3", "-n", "150"],
+    ["alt-count", "-e", "4", "-n", "60"],
+    ["fixed", "-e", "4", "-n", "40", "--profile"],
+    ["fixed", "-e", "7", "-n", "49"],
 ]
 PINNED_STDOUT_SHA256 = {
     "compute -e 3 3,1,1":
@@ -534,6 +544,21 @@ PINNED_STDOUT_SHA256 = {
         "37c82870b26e12d4a2ac376334486d15723170df9cdf5bd14ea1a9e19201a09c",
     "eta --kind odd --ell 3 --check 7,7,7,6,2,1":
         "b96f63136f64c8f5af910f22d2bc347a88e8982a3e4f2ebe8a425f88b81b91a2",
+    # Recorded while the fixed side was grown level by level as rim parents.
+    "verify --kind odd --ell 1 --max-deg 30":
+        "576f4a47e6847441621a355e794824785345fa03606e03d24f573265f38ae4c9",
+    "verify --kind even --ell 1 --max-deg 20 --json":
+        "b15a7bf1699f69c8911d58b573db76a6ad48a3a307f57a1e23ddcbcb72615381",
+    "verify --kind even --ell 3 --max-deg 12":
+        "0a097baa02bac4ccaf6d885aadc765ef11808b8f395c9d9e74118b52c6697937",
+    "alt-count -e 3 -n 150":
+        "1577ca2a69e795f6ee5d9fd1c035fafd39851feec30bf519b38beb5b622eb098",
+    "alt-count -e 4 -n 60":
+        "cce43b00e72806a732433d4c523f3bdd93d852370a4f9d498d47dba5d2dc17ed",
+    "fixed -e 4 -n 40 --profile":
+        "942a9c90bc475a187ff00e6d52b2003e0716882d1e5ad8be6dd195c7b3261751",
+    "fixed -e 7 -n 49":
+        "4a555a545c15bd8e7b0937a86a6a3dd1a51b22e0c919d1675b60c562795fefc7",
 }
 
 

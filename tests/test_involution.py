@@ -6,20 +6,26 @@ from helpers import (
     diagram,
     distinct_odd_counts,
     e_rim,
+    fixed_counts_by_residues,
+    fixed_levels,
     forbid_crystal,
     from_diagram,
     is_regular,
     largest_residue_word,
     mullineux_on_symbol,
     mullineux_symbol,
+    peeled_symbol,
     random_e_regular_partitions,
+    rim_tally,
+    rule_symbols,
     stair,
     symmetric_partitions,
 )
 
 from mullineux import involution
+from mullineux.characters import counts_table
 from mullineux.involution import (
-    _fixed_levels,
+    _fixed_columns,
     _peel_rim,
     _rim_parent,
     fixed_set,
@@ -28,7 +34,12 @@ from mullineux.involution import (
     mullineux_map,
     regular_count,
 )
-from mullineux.partitions import InternalConsistencyError, conjugate, e_regular_partitions
+from mullineux.partitions import (
+    InternalConsistencyError,
+    conjugate,
+    e_regular_partitions,
+    residue_counts,
+)
 from mullineux.typea import canonical_path, remove_good, replay_path
 
 
@@ -180,8 +191,9 @@ def test_e2_lists_k_n_once(monkeypatch):
     assert len(fixed_set(2, 20)) == regular_count(2, 20)
     assert calls == [(20, 2)]
     calls.clear()
+    # The count comes from the column automaton, which lists nothing.
     assert irr_alternating_count(2, 20) == 2 * regular_count(2, 20)
-    assert calls == [(20, 2)]
+    assert calls == []
 
 
 def brute_fixed_levels(e, max_n):
@@ -231,14 +243,72 @@ def test_rim_parent_inverts_rim_removal(e):
 
 @pytest.mark.parametrize("e, max_n", [(2, 30), (3, 40), (4, 28), (5, 32), (6, 24), (7, 40)])
 def test_fixed_levels_match_brute_force(e, max_n):
-    # At e = 2 this pins the shortcut K_n to the map itself.
-    assert ([sorted(level) for level in _fixed_levels(e, max_n)]
+    # The tests' reference for the column automaton, against the map itself.
+    assert ([sorted(level) for level in fixed_levels(e, max_n)]
             == brute_fixed_levels(e, max_n))
+
+
+def fixed_symbols(e, max_n):
+    """Every column sequence, outermost first, of at most max_n nodes that the
+    library's fixed-column table builds outward from the terminator."""
+    columns, found, stack = _fixed_columns(e, max_n), set(), [((), 0, 0)]
+    while stack:
+        inner, r, n = stack.pop()
+        found.add(inner[::-1])
+        for rows, a, *_ in columns[r]:
+            if n + a <= max_n:
+                stack.append((inner + ((a, rows),), rows, n + a))
+    return found
+
+
+@pytest.mark.parametrize("e", range(2, 8))
+def test_column_rule_accepts_exactly_the_peeled_symbols(e):
+    # Bessenrodt-Olsson's two inequalities accept the symbols of the
+    # e-regular partitions and nothing else; the library's fixed columns are
+    # the accepted symbols whose every column has s = r.
+    max_n = 20
+    peeled = {peeled_symbol(lam, e)
+              for n in range(max_n + 1) for lam in e_regular_partitions(n, e)}
+    accepted = rule_symbols(e, max_n)
+    assert accepted == peeled
+    assert fixed_symbols(e, max_n) == {
+        symbol for symbol in accepted
+        if all(a - r + (a % e != 0) == r for a, r in symbol)}
+
+
+@pytest.mark.parametrize("e", range(2, 8))
+def test_column_tallies_are_residue_counts(e):
+    # A rim's residues are a column sum; the library's fixed columns carry
+    # N_0 and N_ell of their rims.
+    tallies = {(a, rows): (d0, dl) for entries in _fixed_columns(e, 20)
+               for rows, a, d0, dl in entries}
+    for n in range(17):
+        for lam in e_regular_partitions(n, e):
+            symbol = peeled_symbol(lam, e)
+            profile = residue_counts(lam, e)
+            total = [0] * e
+            for a, r in symbol:
+                total = [t + d for t, d in zip(total, rim_tally(a, r, e))]
+            assert total == list(profile), lam
+            if all(a - r + (a % e != 0) == r for a, r in symbol):
+                fixed_total = [sum(tallies[column][i] for column in symbol) for i in (0, 1)]
+                assert fixed_total == [profile[0], profile[e // 2]], lam
+
+
+@pytest.mark.parametrize("e, max_n", [(2, 30), (3, 40), (4, 28), (5, 32), (6, 24), (7, 40)])
+def test_column_automaton_matches_the_reference(e, max_n):
+    # counts_table, fixed_set and irr_alternating_count read the column
+    # automaton; the reference grows every fixed point as a rim parent.
+    assert counts_table(e, max_n).counts == fixed_counts_by_residues(e, max_n)
+    for n, level in enumerate(fixed_levels(e, max_n)):
+        assert [rec.partition for rec in fixed_set(e, n)] == sorted(level), n
+        if n:
+            assert 2 * irr_alternating_count(e, n) == regular_count(e, n) + 3 * len(level)
 
 
 @pytest.mark.parametrize("e, max_n", [(3, 56), (5, 48)])
 def test_fixed_levels_count_andrews_bessenrodt_olsson(e, max_n):
-    levels = list(_fixed_levels(e, max_n))
+    levels = fixed_levels(e, max_n)
     assert [len(level) for level in levels] == distinct_odd_counts(e, max_n)
     for n, level in enumerate(levels):
         assert len(set(level)) == len(level)
@@ -251,15 +321,20 @@ def test_fixed_levels_count_andrews_bessenrodt_olsson(e, max_n):
 @pytest.mark.parametrize("e", [21, 1000])
 def test_fixed_levels_past_e_are_self_conjugate(e):
     # Below e boxes the involution is the transpose.
-    assert ([sorted(level) for level in _fixed_levels(e, 20)]
-            == [sorted(symmetric_partitions(n)) for n in range(21)])
+    expected = [sorted(symmetric_partitions(n)) for n in range(21)]
+    assert [sorted(level) for level in fixed_levels(e, 20)] == expected
+    assert [[rec.partition for rec in fixed_set(e, n)] for n in range(21)] == expected
+    assert counts_table(e, 20).counts == fixed_counts_by_residues(e, 20)
 
 
 def test_fixed_levels_reject_bad_arguments():
+    # The column automaton checks its arguments for every route that reads it.
     with pytest.raises(ValueError, match="max_n must be non-negative, got -1"):
-        next(_fixed_levels(3, -1))
-    with pytest.raises(ValueError, match="e must be at least 2, got 1"):
-        next(_fixed_levels(1, 5))
+        counts_table(3, -1)
+    for call in (lambda: counts_table(1, 5), lambda: fixed_set(1, 5),
+                 lambda: irr_alternating_count(1, 5)):
+        with pytest.raises(ValueError, match="e must be at least 2, got 1"):
+            call()
 
 
 def test_regular_count_matches_the_enumeration():

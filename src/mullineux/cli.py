@@ -150,77 +150,63 @@ def cmd_alt_count(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_E, _N = ("-e", {"type": int, "required": True}), ("-n", {"type": int, "required": True})
+_KIND = ("--kind", {"choices": ("odd", "even"), "required": True})
+_ELL, _LAM = ("--ell", {"type": int, "required": True}), ("partition", {})
+# name: (help, handler, arguments, None or the one nested subcommand and its help)
+SUBCOMMANDS = {
+    "compute": ("Mullineux image of an e-regular partition", cmd_compute, (_E, _LAM), None),
+    "fixed": ("Mullineux-fixed partitions of n", cmd_fixed, (_E, _N, ("--profile", {
+        "action": "store_true", "help": "emit JSON records with residue profiles"})), None),
+    "crystal": ("crystal graph utilities", cmd_crystal_export, (
+        ("--kind", {"choices": ("typea", "odd", "even"), "required": True}),
+        ("-e", {"type": int}), ("--ell", {"type": int}),
+        ("--bound", {"type": int, "required": True}),
+        ("--format", {"choices": ("dot", "jsonl"), "required": True})),
+        ("export", "export a level-bounded crystal graph")),
+    "twisted": ("twisted crystal utilities", cmd_twisted_path, (_KIND, _ELL, _LAM),
+                ("path", "residue word from empty to a class member")),
+    "eta": ("Mullineux-fixed image of a twisted-crystal vertex", cmd_eta, (_KIND, _ELL, (
+        "--check", {"action": "store_true",
+                    "help": "emit the JSON relation report instead of the image"}), _LAM), None),
+    "bijection": ("distinct-parts <-> symmetric partitions", cmd_bijection,
+                  (("direction", {"choices": ("dp2sp", "sp2dp")}), _LAM), None),
+    "fold-cartan": ("folded affine Cartan matrix for e", cmd_fold_cartan, (_E,), None),
+    "verify": ("three-way check of the counting identity", cmd_verify, (
+        _KIND, _ELL, ("--max-deg", {"type": int, "required": True}),
+        ("--json", {"action": "store_true"})), None),
+    "alt-count": ("irreducible count from the fixed-point formula", cmd_alt_count,
+                  (_E, _N), None),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `mull` parser.  A known command name registers only its own entry
+    of SUBCOMMANDS, and its usage line still names every command; anything
+    else registers them all."""
     parser = argparse.ArgumentParser(
         prog="mull",
         description="Mullineux involution, good-node crystals, and exact "
                     "fixed-point counting identities on partitions.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="Mullineux image of an e-regular partition")
-    p.add_argument("-e", type=int, required=True)
-    p.add_argument("partition")
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("fixed", help="Mullineux-fixed partitions of n")
-    p.add_argument("-e", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--profile", action="store_true",
-                   help="emit JSON records with residue profiles")
-    p.set_defaults(func=cmd_fixed)
-
-    p = sub.add_parser("crystal", help="crystal graph utilities")
-    crystal_sub = p.add_subparsers(dest="crystal_command", required=True)
-    pe = crystal_sub.add_parser("export", help="export a level-bounded crystal graph")
-    pe.add_argument("--kind", choices=("typea", "odd", "even"), required=True)
-    pe.add_argument("-e", type=int, default=None)
-    pe.add_argument("--ell", type=int, default=None)
-    pe.add_argument("--bound", type=int, required=True)
-    pe.add_argument("--format", choices=("dot", "jsonl"), required=True)
-    pe.set_defaults(func=cmd_crystal_export)
-
-    p = sub.add_parser("twisted", help="twisted crystal utilities")
-    twisted_sub = p.add_subparsers(dest="twisted_command", required=True)
-    pt = twisted_sub.add_parser("path", help="residue word from empty to a class member")
-    pt.add_argument("--kind", choices=("odd", "even"), required=True)
-    pt.add_argument("--ell", type=int, required=True)
-    pt.add_argument("partition")
-    pt.set_defaults(func=cmd_twisted_path)
-
-    p = sub.add_parser("eta", help="Mullineux-fixed image of a twisted-crystal vertex")
-    p.add_argument("--kind", choices=("odd", "even"), required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--check", action="store_true",
-                   help="emit the JSON relation report instead of the image")
-    p.add_argument("partition")
-    p.set_defaults(func=cmd_eta)
-
-    p = sub.add_parser("bijection", help="distinct-parts <-> symmetric partitions")
-    p.add_argument("direction", choices=("dp2sp", "sp2dp"))
-    p.add_argument("partition")
-    p.set_defaults(func=cmd_bijection)
-
-    p = sub.add_parser("fold-cartan", help="folded affine Cartan matrix for e")
-    p.add_argument("-e", type=int, required=True)
-    p.set_defaults(func=cmd_fold_cartan)
-
-    p = sub.add_parser("verify", help="three-way check of the counting identity")
-    p.add_argument("--kind", choices=("odd", "even"), required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--max-deg", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("alt-count", help="irreducible count from the fixed-point formula")
-    p.add_argument("-e", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(func=cmd_alt_count)
-
+    names = [command] if command in SUBCOMMANDS else list(SUBCOMMANDS)
+    # Set on the full tree, the metavar would also name the commands in the
+    # `argument command` errors, which only the full tree can raise.
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if len(names) > 1 else "{" + ",".join(SUBCOMMANDS) + "}"))
+    for name in names:
+        text, _, arguments, nested = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        if nested:
+            p = p.add_subparsers(dest=f"{name}_command", required=True).add_parser(
+                nested[0], help=nested[1])
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         for flag, name, ceiling in (("-e", "e", MAX_E), ("--ell", "ell", MAX_E),
                                     ("-n", "n", MAX_BOXES), ("--bound", "bound", MAX_BOXES)):
@@ -231,7 +217,7 @@ def main(argv=None) -> int:
             args.partition = lam = parse_partition(args.partition)
             if sum(lam) > MAX_BOXES:
                 raise ValueError(f"partition literal has {sum(lam)} boxes, at most {MAX_BOXES}")
-        return args.func(args)
+        return SUBCOMMANDS[args.command][1](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

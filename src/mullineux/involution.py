@@ -76,43 +76,35 @@ def _peel_rim(lam: Partition, e: int) -> tuple[Partition, int]:
         take = min(part - below + 1, e - used)
         mu.append(part - take)
         used = (used + take) % e
-    return tuple(part for part in mu if part), sum(lam) - sum(mu)
+    # tuple() of a list, here and in _rim_parent: of a generator it grows by
+    # resizing, and each dead short tuple then adds to CPython's free lists.
+    return tuple([part for part in mu if part]), sum(lam) - sum(mu)
 
 
 def _rim_parent(mu: Partition, r: int, a: int, e: int) -> Partition | None:
     """The e-regular lam with r rows whose e-rim has a nodes and leaves mu, or
-    None (the symbol determines lam, so there is at most one).  Top down, an
-    e-segment enters each row at its last node and takes the row's whole rim
-    unless it ends there, which forces the next part to mu_i + 1; the row
-    after a segment end is free up to mu_i + 1, and only it branches.  A short
-    last segment must empty the last row."""
-    m = mu + (0,) * (r - len(mu))
-    lam: list[int] = []
-
-    def segment(i: int, left: int, run: int) -> bool:
-        # a segment starts at row i; left: nodes to place; run: repeats of lam[i - 1]
-        for part in range(min(m[i - 1] + 1 if i else m[0] + e, m[i] + e), m[i], -1):
-            del lam[i:]
-            j, used, k, runs = i, 0, left, run
-            while True:
-                d = part - m[j]
-                runs = runs + 1 if j and part == lam[-1] else 1
-                if d > e - used or runs == e or k - d < r - j - 1:
-                    break
-                lam.append(part)
-                k, used = k - d, used + d
-                if j == r - 1:
-                    if not k and (used == e or not m[j]):
-                        return True
-                    break
-                if used == e:
-                    if segment(j + 1, k, runs):
-                        return True
-                    break
-                j, part = j + 1, m[j] + 1
-        return False
-
-    return tuple(lam) if segment(0, a, 0) else None
+    None (the symbol determines lam, so there is at most one).  Bottom up on
+    the beta numbers h_j = mu_j - j of mu padded to r rows: the segment ending
+    on row j moves h_j up by its size (e, or a % e for a short last segment,
+    which must empty the last row) to row i, the number of beads >= the new
+    value.  It starts there, so the segment above ends on row i - 1 and moves
+    the bead there, an equal one included, away."""
+    if r < len(mu) or (a % e and len(mu) == r):
+        return None
+    beads = [part - j for j, part in enumerate(mu + (0,) * (r - len(mu)))]
+    j, size = r - 1, a % e or e
+    for _ in range(a // e + (a % e > 0)):
+        if j < 0:
+            return None
+        h, i = beads[j] + size, j
+        while i and beads[i - 1] < h:
+            i -= 1
+        beads[i + 1:j + 1], beads[i] = beads[i:j], h
+        j, size = i - 1, e
+    if j >= 0:
+        return None
+    lam = tuple([h + t for t, h in enumerate(beads)])
+    return None if any(lam[t] == lam[t + e - 1] for t in range(r - e + 1)) else lam
 
 
 def _column_parent(mu: Partition, r: int, a: int, e: int) -> Partition:

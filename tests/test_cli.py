@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -586,6 +587,102 @@ def test_compute_stdout_on_large_literals_matches_pinned_digest(
     assert main(["compute", "-e", str(e), format_partition(stair(rows, repeat))]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_COMPUTE_SHA256[(e, rows, repeat)]
+
+
+# (exit status, sha256 of stdout + stderr) of argparse's own text, at 80
+# columns: usage lines, help pages and errors, recorded while every call built
+# the parser of every subcommand.  A known command now builds only its own,
+# and its usage line must still name all nine.
+PINNED_ARGPARSE_TEXT = {
+    "":
+        (2, "8bb2a5ef635618e1cfe9b2ad1b3ac4d98459e391ece7d0cf294502c449891b1e"),
+    "--help":
+        (0, "db27f890c3340c7be8f1ec9ac51d0ada33ab41df02f1cbd32a4f0cade0d1da19"),
+    "-h":
+        (0, "db27f890c3340c7be8f1ec9ac51d0ada33ab41df02f1cbd32a4f0cade0d1da19"),
+    "bogus":
+        (2, "4af36ae3a56400ef0838cf105ac04a379fc4205499e93857ea6f55d4bb8daf1b"),
+    "--help verify":
+        (0, "db27f890c3340c7be8f1ec9ac51d0ada33ab41df02f1cbd32a4f0cade0d1da19"),
+    "verify":
+        (2, "bb318f501722c6f6521b879cebce794f2073be4ac6c0430ff9c3e6cf81f67b45"),
+    "verify --help":
+        (0, "554dc729c7df2042f3b385092d9275da532c18704f178e923484e702b42698b7"),
+    "verify --kind odd --ell 1 --max-deg 2 extra":
+        (2, "b7727229a39e296ba11c8eef8d0ec4d2119f5719a9c40e1c062ed2d1438bbdea"),
+    "verify --kind odd --ell 1 --max-deg x":
+        (2, "753fade70454e1c66060c92e8ed46cd4b3d171e977c37be020903a7ebca49f13"),
+    "crystal":
+        (2, "9e3884305651d3e65e4e874c41258307de5edc7fd189924905cf52b9f5a1173d"),
+    "crystal --help":
+        (0, "670b546f218d29a22a13ee2be9c7a91d1daacad52035fedc589e974ea13d3ae6"),
+    "crystal export --help":
+        (0, "5382bad720ef3d81f692cbda8e68de15498420c3baf2e56dfa1da41c6bddcd1b"),
+    "crystal bogus":
+        (2, "c5c6fab8d8cb4c02cd863a01c3ff1313eaeca447e4aa350732f367be6968e0e1"),
+    "crystal export --kind typea --bound 3 --format dot extra":
+        (2, "b7727229a39e296ba11c8eef8d0ec4d2119f5719a9c40e1c062ed2d1438bbdea"),
+    "twisted path --help":
+        (0, "28a1eac963de27029cd16c68095a2ccc233cee7ac0eee42c28be9efd8e7efddb"),
+    "twisted":
+        (2, "97800ae8b25dfcda6aa75e9e58dda84941d114f6fda32d03753c01442930c3e0"),
+    "compute -e 3":
+        (2, "2732ca015c1008f1d1db69b16fc8d7e111d38ec5283593456d6917bd73a8fbc2"),
+    "fixed -e 3 -n x":
+        (2, "6ed4e3c2e1346c6f26513da0fb5724dcf3712ac1e71902539ba7383fe121cfea"),
+    "fixed --help":
+        (0, "23ec7aec37c215810a0bd3c81d3e1ec57b3ae5933721505e1230c10847861c36"),
+    "bijection xx 1":
+        (2, "0144d7de88575ca9c2393d74ce2a97a4f24a24892b50745fbd6627a3caeb3d58"),
+    "alt-count -e 3":
+        (2, "e02758996142b10017dcf0b4d6340cb0738b1917dbec8a7f2a0598a34e7fdfe4"),
+    "fold-cartan --help":
+        (0, "17f76371d5ad22141a5e30a524bdf0b3a88bb9355ee457a517491a9104b2f962"),
+    "eta --kind bad --ell 1 2":
+        (2, "1a86871bcd99cc9e75273aa7c3e1a09a23e21f60cc85cd5f1ca33b4971507371"),
+    "compute --bogus":
+        (2, "460762fe1b6d096795237429bffe80f277fbbc242206d45f9b9b8ff8a486bae8"),
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGPARSE_TEXT)
+def test_argparse_text_matches_pinned_digest(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out = capsys.readouterr()
+    digest = hashlib.sha256((out.out + out.err).encode()).hexdigest()
+    assert (exc.value.code, digest) == PINNED_ARGPARSE_TEXT[argv]
+
+
+@pytest.mark.parametrize("argv", ["", "verify --kind odd --ell 1 --max-deg 2 extra"])
+def test_argparse_text_of_a_process_matches_pinned_digest(argv, tmp_path):
+    # `python -m mullineux` reaches main with argv=None, so it reads sys.argv.
+    run = run_cli(argv.split(), tmp_path)
+    digest = hashlib.sha256((run.stdout + run.stderr).encode()).hexdigest()
+    assert (run.returncode, digest) == PINNED_ARGPARSE_TEXT[argv]
+
+
+@pytest.mark.parametrize("argv, progs", [
+    (["verify", "--kind", "odd", "--ell", "1", "--max-deg", "2"], ["mull", "mull verify"]),
+    (["crystal", "export", "--kind", "typea", "-e", "3", "--bound", "4", "--format", "dot"],
+     ["mull", "mull crystal", "mull crystal export"]),
+])
+def test_a_known_command_builds_only_its_own_parsers(argv, progs, capsys, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    assert built == progs
+    built.clear()
+    with pytest.raises(SystemExit):  # an unknown name still builds the whole tree
+        main(["bogus"])
+    assert len(built) == 12
 
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")

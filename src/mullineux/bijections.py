@@ -49,7 +49,7 @@ def symmetric_to_distinct(mu: Partition) -> Partition:
     """Inverse map: subtract i - 1 from row i down to the main diagonal."""
     if not is_symmetric(mu):
         raise ValueError(f"{mu} is not symmetric")
-    lam = tuple(mu[i] - i for i in range(durfee_length(mu)))
+    lam = tuple([mu[i] - i for i in range(durfee_length(mu))])
     if not has_distinct_parts(lam):
         raise InternalConsistencyError(
             f"preimage {lam} of {mu} does not have distinct parts")

@@ -98,20 +98,16 @@ def expand_residue(r, kind: CrystalKind) -> tuple[int, ...]:
     rv = int(r)
     if not 0 <= rv <= ell:
         raise ValueError(f"residue {rv} out of range 0..{ell}")
-    if kind.is_odd:
-        if rv == 0:
-            return (0,)
-        if rv == ell:
-            return (ell + 1, ell, ell, ell + 1)
-        return (rv, 2 * ell + 1 - rv)
-    if rv in (0, ell):
+    if rv == 0 or rv == ell and not kind.is_odd:
         return (rv,)
-    return (rv, 2 * ell - rv)
+    if rv == ell:
+        return (ell + 1, ell, ell, ell + 1)
+    return (rv, kind.e - rv)
 
 
 def expand_word(word, kind: CrystalKind) -> tuple[int, ...]:
     """Concatenate the blocks of a twisted residue word, preserving order."""
-    return tuple(x for r in word for x in expand_residue(r, kind))
+    return tuple([x for r in word for x in expand_residue(r, kind)])
 
 
 def unfold(lam: Partition, kind: CrystalKind) -> Partition:
@@ -169,16 +165,11 @@ class FoldReport:
 
 
 def _expected_residue_count(i: int, kind: CrystalKind, letter_counts) -> int:
-    e, ell = kind.e, kind.ell
-    if i <= ell - 1:
-        return letter_counts[i]
-    if kind.is_odd:
-        if i in (ell, ell + 1):
-            return 2 * letter_counts[ell]
-        return letter_counts[e - i]
-    if i == ell:
-        return letter_counts[ell]
-    return letter_counts[e - i]
+    """a_i below ell, a_{e-i} above it, and at ell a_ell (even kind) or, at
+    ell and ell + 1, 2 a_ell (odd kind)."""
+    if kind.is_odd and i in (kind.ell, kind.ell + 1):
+        return 2 * letter_counts[kind.ell]
+    return letter_counts[min(i, kind.e - i)]
 
 
 def check_fold_relations(lam: Partition, kind: CrystalKind) -> FoldReport:
@@ -192,7 +183,7 @@ def check_fold_relations(lam: Partition, kind: CrystalKind) -> FoldReport:
     """
     word, image = _unfold(lam, kind)
     n = sum(lam)
-    counts = tuple(word.count(r) for r in range(kind.modulus))
+    counts = tuple([word.count(r) for r in range(kind.modulus)])
     profile = residue_counts(image, kind.e)
     size = sum(image)
     ell = kind.ell

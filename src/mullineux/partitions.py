@@ -22,7 +22,7 @@ class InternalConsistencyError(RuntimeError):
 
 def check_partition(parts) -> Partition:
     """Validate and normalize an iterable of parts into a partition tuple."""
-    lam = tuple(int(p) for p in parts)
+    lam = tuple([int(p) for p in parts])
     for i, p in enumerate(lam):
         if p < 1:
             raise ValueError(f"parts must be positive, got {p}")
@@ -50,8 +50,8 @@ def format_partition(lam: Partition) -> str:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram: column j of lam becomes row j."""
-    return tuple(i for i in range(len(lam), 0, -1)
-                 for _ in range(lam[i - 1] - (lam[i] if i < len(lam) else 0)))
+    return tuple([i for i in range(len(lam), 0, -1)
+                  for _ in range(lam[i - 1] - (lam[i] if i < len(lam) else 0))])
 
 
 def is_e_regular(lam: Partition, e: int) -> bool:

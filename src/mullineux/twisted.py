@@ -34,6 +34,7 @@ from .typea import (
     _crystal_graph,
     _replay,
     _residue_value,
+    _shifted,
     _signature,
     _strip_good_nodes,
 )
@@ -74,8 +75,8 @@ def node_scan(lam: Partition, kind: CrystalKind) -> tuple[TwistedNode, ...]:
     The pair seats sit immediately left of / right of the row end: R2 at
     (r, part-1) needs its right neighbour to share the residue and both the
     one-box and two-box removals to stay f-strict; A2 at (r, part+2) is the
-    mirror condition for additions.  The tests' reference for the kernel
-    _good_cogood_rows, with which it shares no code: a move keeps lam
+    mirror condition for additions.  The tests' reference for the row
+    kernels, with which it shares no code: a move keeps lam
     f-strict exactly when the moved part still fits its neighbours.
     """
     f, pattern = kind.strict_f, kind.column_pattern
@@ -98,24 +99,19 @@ def node_scan(lam: Partition, kind: CrystalKind) -> tuple[TwistedNode, ...]:
     return tuple(out)
 
 
-def _good_cogood_rows(lam: Partition, kind: CrystalKind) -> list[list[int]]:
-    """Rows of the good and of the cogood i-node for every residue i (0 when
-    there is none) of a class member, in one bottom-up pass over its rows.
-    Each row reads, left to right, the seats of node_scan that fit: R2, R1,
-    A1, A2.  With a count of pending A's per residue, the good node is the
-    last R read with none pending and the cogood node the A that opens the
-    run still pending at the end, as in typea._normal_conormal_rows.  A
-    fitting pair seat counts as a second seat of the same residue and row.
-    It is never chosen: R2 is read just before R1, which replaces it, and A2
-    just after A1, so it never opens a run.  Unchecked: lam must be a class
-    member."""
+# Row kernels: one bottom-up pass over a class member (a tuple or a list;
+# unchecked), each row through the seats of node_scan that fit: R2, R1, A1,
+# A2.  A fitting pair seat counts as a second seat of its single seat's row.
+# With a count of pending A's per residue, the good node is the last R read
+# with none pending, the cogood node the A that opens the run still pending
+# at the end; 0 for none.  R2 is read just before R1, which replaces it, and
+# A2 just after A1, so neither is ever chosen.
+def _good_rows(lam, kind: CrystalKind) -> list[int]:
+    """Row of the good i-node for every residue i."""
     f, pattern, m = kind.strict_f, kind.column_pattern, kind.modulus
     period = len(pattern)
-    good, cogood, pending = [0] * m, [0] * m, [0] * m
-    row, below = len(lam) + 1, 0
-    for part, above in zip((0,) + lam[::-1], lam[::-1] + (lam[0] + 3 if lam else 3,)):
-        # each seat fits when the moved part stays above the next one, equal
-        # to it only on a multiple of f; a pair seat needs the same residue
+    good, pending, row, part, below = [0] * m, [0] * m, len(lam) + 1, 0, 0
+    for above in (*reversed(lam), lam[0] + 3 if lam else 3):
         if part - 1 > below or part - 1 == below and below % f == 0:
             x = pattern[(part - 1) % period]
             seats = 1 + (pattern[(part - 2) % period] == x and (
@@ -125,12 +121,30 @@ def _good_cogood_rows(lam: Partition, kind: CrystalKind) -> list[list[int]]:
             pending[x] = max(pending[x] - seats, 0)
         if above > part + 1 or above == part + 1 and above % f == 0:
             x = pattern[part % period]
+            pending[x] += 1 + (pattern[(part + 1) % period] == x and (
+                above > part + 2 or above == part + 2 and above % f == 0))
+        row, below, part = row - 1, part, above
+    return good
+
+
+def _cogood_rows(lam, kind: CrystalKind) -> list[int]:
+    """Row of the cogood i-node for every residue i."""
+    f, pattern, m = kind.strict_f, kind.column_pattern, kind.modulus
+    period = len(pattern)
+    cogood, pending, row, part, below = [0] * m, [0] * m, len(lam) + 1, 0, 0
+    for above in (*reversed(lam), lam[0] + 3 if lam else 3):
+        if part - 1 > below or part - 1 == below and below % f == 0:
+            x = pattern[(part - 1) % period]
+            pending[x] = max(pending[x] - 1 - (pattern[(part - 2) % period] == x and (
+                part - 2 > below or part - 2 == below and below % f == 0)), 0)
+        if above > part + 1 or above == part + 1 and above % f == 0:
+            x = pattern[part % period]
             if not pending[x]:
                 cogood[x] = row
             pending[x] += 1 + (pattern[(part + 1) % period] == x and (
                 above > part + 2 or above == part + 2 and above % f == 0))
-        row, below = row - 1, part
-    return [good, [seat if count else 0 for seat, count in zip(cogood, pending)]]
+        row, below, part = row - 1, part, above
+    return [seat if count else 0 for seat, count in zip(cogood, pending)]
 
 
 def signature_report_twisted(lam: Partition, i, kind: CrystalKind) -> SignatureReport:
@@ -154,40 +168,36 @@ def _require_class(lam: Partition, kind: CrystalKind) -> None:
         raise ValueError(f"{lam} is not a {cls} {kind.strict_f}-strict partition")
 
 
-def _moved(lam: Partition, row: int, kind: CrystalKind, add: bool) -> Partition | None:
-    """lam with a box added at (or removed from) the end of row, which must
-    leave a class member; None when row is 0.  lam is one, so only the two
-    pairs the moved part makes with its neighbours can break the class rule."""
-    if not row:
-        return None
+def _check_move(parts, row: int, kind: CrystalKind, add: bool) -> None:
+    """Raise unless a box added at (or removed from) the end of row leaves a
+    class member.  parts (a tuple or a list) is one, so only the two pairs
+    the moved part makes with its neighbours can break the class rule."""
     f, bound = kind.strict_f, kind.strict_f * (1 if kind.is_odd else 2)
-    new = (lam[row - 1] if row <= len(lam) else 0) + (1 if add else -1)
-    if not (row <= len(lam) + 1 and _fits(new, lam[row] if row < len(lam) else 0, f, bound)
-            and (row == 1 or _fits(lam[row - 2], new, f, bound))):
+    new = (parts[row - 1] if row <= len(parts) else 0) + (1 if add else -1)
+    if not (row <= len(parts) + 1 and _fits(new, parts[row] if row < len(parts) else 0, f, bound)
+            and (row == 1 or _fits(parts[row - 2], new, f, bound))):
         move = "cogood addition" if add else "good removal"
         raise InternalConsistencyError(
-            f"{move} left the class: {lam} {'+' if add else '-'} row {row}")
-    return lam[:row - 1] + ((new,) if new else ()) + lam[row:]
+            f"{move} left the class: {tuple(parts)} {'+' if add else '-'} row {row}")
 
 
-def _f_moves(kind: CrystalKind):
-    """rows_of and add of f_twisted, for crystal_edges and _replay."""
-    return (lambda lam: _good_cogood_rows(lam, kind)[1],
-            lambda lam, row: _moved(lam, row, kind, True))
+def _moved(lam: Partition, row: int, kind: CrystalKind, add: bool) -> Partition | None:
+    """lam with a box added at (removed from) the end of row, checked; None at row 0."""
+    if row:
+        _check_move(lam, row, kind, add)
+    return _shifted(lam, row, 1 if add else -1)
 
 
 def f_twisted(lam: Partition, i, kind: CrystalKind) -> Partition | None:
     """Lowering operator: add the cogood i-node (a single box), or None."""
     _require_class(lam, kind)
-    row = _good_cogood_rows(lam, kind)[1][_residue_value(i, kind.modulus)]
-    return _moved(lam, row, kind, True)
+    return _moved(lam, _cogood_rows(lam, kind)[_residue_value(i, kind.modulus)], kind, True)
 
 
 def e_twisted(lam: Partition, i, kind: CrystalKind) -> Partition | None:
     """Raising operator: remove the good i-node (a single box), or None."""
     _require_class(lam, kind)
-    row = _good_cogood_rows(lam, kind)[0][_residue_value(i, kind.modulus)]
-    return _moved(lam, row, kind, False)
+    return _moved(lam, _good_rows(lam, kind)[_residue_value(i, kind.modulus)], kind, False)
 
 
 def canonical_path_twisted(lam: Partition, kind: CrystalKind) -> tuple[int, ...]:
@@ -195,14 +205,14 @@ def canonical_path_twisted(lam: Partition, kind: CrystalKind) -> tuple[int, ...]
     letter per box, chosen by stripping good nodes at the smallest residue
     that has one."""
     _require_class(lam, kind)
-    return _strip_good_nodes(lam, lambda cur: _good_cogood_rows(cur, kind)[0],
-                             lambda cur, row: _moved(cur, row, kind, False),
-                             "class member")
+    return _strip_good_nodes(lam, lambda parts: _good_rows(parts, kind), "class member",
+                             lambda parts, row: _check_move(parts, row, kind, False))
 
 
 def replay_twisted(word, kind: CrystalKind) -> Partition:
     """Apply f_twisted from the empty partition along a residue word."""
-    return _replay(word, *_f_moves(kind), kind.modulus)
+    return _replay(word, lambda parts, x: _cogood_rows(parts, kind)[x], kind.modulus,
+                   lambda parts, row: _check_move(parts, row, kind, True))
 
 
 def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
@@ -214,6 +224,7 @@ def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    return _crystal_graph(_f_moves(kind), kind.modulus, max_depth,
+    moves = (lambda lam: _cogood_rows(lam, kind), lambda lam, row: _moved(lam, row, kind, True))
+    return _crystal_graph(moves, kind.modulus, max_depth,
                           lambda n: class_partitions(n, kind),
                           f"class_partitions at {kind.parity} ell={kind.ell}")

@@ -48,22 +48,14 @@ class SignatureReport:
 
 def removable_nodes(lam: Partition) -> list[Node]:
     """Boxes whose removal leaves a Young diagram, top row first."""
-    out = []
-    for r, part in enumerate(lam, start=1):
-        below = lam[r] if r < len(lam) else 0
-        if part > below:
-            out.append((r, part))
-    return out
+    return [(r, part) for r, (part, below) in enumerate(zip(lam, (*lam[1:], 0)), start=1)
+            if part > below]
 
 
 def addable_nodes(lam: Partition) -> list[Node]:
     """Concave corners where a box can be added, top row first."""
-    out = []
-    for r, part in enumerate(lam, start=1):
-        if r == 1 or lam[r - 2] > part:
-            out.append((r, part + 1))
-    out.append((len(lam) + 1, 1))
-    return out
+    return [(r, part + 1) for r, part in enumerate(lam, start=1)
+            if r == 1 or lam[r - 2] > part] + [(len(lam) + 1, 1)]
 
 
 def cancel_ar(pairs):
@@ -106,89 +98,117 @@ def _require_regular(lam: Partition, e: int) -> None:
 
 def signature_report(lam: Partition, x, e: int) -> SignatureReport:
     """Signature of lam at residue x, with good/cogood nodes and counts; the
-    reference route the kernel _normal_conormal_rows is tested against."""
+    reference route the row kernels below are tested against."""
     _require_regular(lam, e)
     xv = _residue_value(x, e)
-    raw = tuple(pair for pair in _boundary(lam)
-                if (pair[0][1] - pair[0][0]) % e == xv)
+    raw = tuple([pair for pair in _boundary(lam)
+                 if (pair[0][1] - pair[0][0]) % e == xv])
     return _signature(raw, raw)
 
 
 def _signature(raw: tuple, pairs) -> SignatureReport:
     """Report on raw, whose word is spelled by the (entry, letter) pairs."""
     survivors = cancel_ar(pairs)
-    normal = tuple(entry for entry, letter in survivors if letter == "R")
-    conormal = tuple(entry for entry, letter in survivors if letter == "A")
+    normal = tuple([entry for entry, letter in survivors if letter == "R"])
+    conormal = tuple([entry for entry, letter in survivors if letter == "A"])
     return SignatureReport(raw, normal, conormal,
                            normal[-1] if normal else None,
                            conormal[0] if conormal else None,
                            "".join(map(itemgetter(1), pairs)))
 
 
-def _remove_box(lam: Partition, row: int) -> Partition | None:
-    """lam less the box at the end of row; None when row is 0 or the rest
-    is not a diagram (mid-row removal never leaves one)."""
-    below = lam[row] if row < len(lam) else 0
-    if not row or lam[row - 1] <= below:
+def _shifted(lam: Partition, row: int, by: int) -> Partition | None:
+    """lam with the part in row (0 past the end) moved by 1 or -1, or None."""
+    if not row:
         return None
-    new = lam[row - 1] - 1
+    new = (lam[row - 1] if row <= len(lam) else 0) + by
     return lam[:row - 1] + ((new,) if new else ()) + lam[row:]
-
-
-def _add_box(lam: Partition, row: int) -> Partition | None:
-    """lam plus a box at the end of row; None when row is 0 or the result
-    is not a diagram."""
-    if not row or row > len(lam) + 1:
-        return None
-    new = (lam[row - 1] if row <= len(lam) else 0) + 1
-    if row >= 2 and lam[row - 2] < new:
-        return None
-    return lam[:row - 1] + (new,) + lam[row:]
 
 
 def remove_good(lam: Partition, x, e: int) -> Partition | None:
     """Remove the good x-node, or None when there is none."""
     _require_regular(lam, e)
-    normal = _normal_conormal_rows(lam, e)[0][_residue_value(x, e)]
-    return _remove_box(lam, normal[-1] if normal else 0)
+    return _shifted(lam, _good_rows(lam, e)[_residue_value(x, e)], -1)
 
 
 def add_cogood(lam: Partition, x, e: int) -> Partition | None:
     """Add the cogood x-node, or None when there is none."""
     _require_regular(lam, e)
-    conormal = _normal_conormal_rows(lam, e)[1][_residue_value(x, e)]
-    return _add_box(lam, conormal[0] if conormal else 0)
+    return _shifted(lam, _cogood_row(lam, _residue_value(x, e), e), 1)
 
 
-def _normal_conormal_rows(lam: Partition, e: int) -> tuple[list[tuple], list[tuple]]:
-    """Rows of every normal and every conormal x-node for each residue x, top
-    down, in one pass with a stack of pending A rows per residue: an R cancels
-    the latest or is normal, the A's left are conormal.  Unchecked: lam e-regular."""
-    normal, pending, above = [()] * e, [()] * e, -1
-    for row, (part, below) in enumerate(zip(lam + (0,), lam[1:] + (0, 0)), start=1):
+# Row kernels: one pass over an e-regular partition (a tuple or a list;
+# unchecked), 0 for no node.  The good node is the last R that no pending A
+# above cancels, the cogood node the first A that no pending R below cancels.
+# A row's R and A differ in residue, so their order in the row never matters.
+# The walks read _cogood_rows once per vertex, a replay step _cogood_row.
+def _good_rows(lam, e: int) -> list[int]:
+    """Row of the good x-node for every residue x, top down."""
+    good, pending, above = [0] * e, [0] * e, 0
+    for row, (part, below) in enumerate(zip(lam, (*lam[1:], 0)), start=1):
         if part > below:
             x = (part - row) % e
             if pending[x]:
-                pending[x] = pending[x][:-1]
+                pending[x] -= 1
             else:
-                normal[x] += (row,)
+                good[x] = row
         if above != part:
-            pending[(part + 1 - row) % e] += (row,)
+            pending[(part + 1 - row) % e] += 1
         above = part
-    return normal, pending
+    return good
 
 
-def _strip_good_nodes(lam: Partition, good_rows, remove, label: str) -> tuple[int, ...]:
-    """The reversed word of residues at which remove(cur, good_rows(cur)[x])
-    strips lam, always at the smallest x with a good node."""
-    word, cur = [], lam
-    while cur:
-        rows = good_rows(cur)
-        x = next((x for x, row in enumerate(rows) if row), None)
-        if x is None:
-            raise InternalConsistencyError(f"nonempty {label} {cur} has no good node")
+def _cogood_rows(lam, e: int) -> list[int]:
+    """Row of the cogood x-node for every residue x, bottom up."""
+    cogood, pending, row, below = [0] * e, [0] * e, len(lam), 0
+    cogood[-row % e] = row + 1
+    for part in reversed(lam):
+        if part > below:
+            pending[(part - row) % e] += 1
+        if row == 1 or lam[row - 2] != part:
+            x = (part + 1 - row) % e
+            if pending[x]:
+                pending[x] -= 1
+            else:
+                cogood[x] = row
+        row, below = row - 1, part
+    return cogood
+
+
+def _cogood_row(lam, x: int, e: int) -> int:
+    """Row of the cogood x-node, bottom up through the nodes of residue x alone."""
+    row, below, pending = len(lam), 0, 0
+    cogood = row + 1 if -row % e == x else 0
+    for part in reversed(lam):
+        shift = (part - row - x) % e  # 0 at an x-removable end, e - 1 at an x-addable one
+        if not shift and part > below:
+            pending += 1
+        elif shift == e - 1 and (row == 1 or lam[row - 2] != part):
+            if pending:
+                pending -= 1
+            else:
+                cogood = row
+        row, below = row - 1, part
+    return cogood
+
+
+def _strip_good_nodes(lam: Partition, good_rows, label: str, check=None) -> tuple[int, ...]:
+    """The reversed word of residues x at which lam, held as one list of parts,
+    is stripped: always at the smallest x with a good node, from a row that
+    check(parts, row), if given, lets go."""
+    word, parts = [], list(lam)
+    while parts:
+        for x, row in enumerate(good_rows(parts)):
+            if row:
+                break
+        else:
+            raise InternalConsistencyError(f"nonempty {label} {tuple(parts)} has no good node")
+        if check:
+            check(parts, row)
         word.append(x)
-        cur = remove(cur, rows[x])
+        parts[row - 1] -= 1
+        if not parts[-1]:
+            parts.pop()
     word.reverse()
     return tuple(word)
 
@@ -200,31 +220,36 @@ def canonical_path(lam: Partition, e: int) -> tuple[int, ...]:
     one, and returns the reversed removal word.
     """
     _require_regular(lam, e)
-    return _strip_good_nodes(lam, lambda cur: _normal_conormal_rows(cur, e)[0],
-                             lambda cur, rows: _remove_box(cur, rows[-1]),
-                             f"{e}-regular partition")
+    return _strip_good_nodes(lam, lambda parts: _good_rows(parts, e), f"{e}-regular partition")
 
 
 class ReplayError(ValueError):
     """A residue word demanded a cogood node that does not exist."""
 
 
-def _replay(word, rows_of, add, modulus: int) -> Partition:
-    """Apply add(lam, rows_of(lam)[x]) from the empty partition along a
-    residue word.  A replay meets each vertex once, so it keeps no memo."""
-    lam: Partition = ()
+def _replay(word, cogood_row, modulus: int, check=None) -> Partition:
+    """Grow one list of parts from empty along a residue word, at each letter
+    x by a box in row cogood_row(parts, x), which check(parts, row), if given,
+    lets go.
+    A replay meets each vertex once, so it keeps no memo."""
+    parts: list[int] = []
     for step, x in enumerate(word, start=1):
         x = _residue_value(x, modulus)
-        nxt = add(lam, rows_of(lam)[x])
-        if nxt is None:
-            raise ReplayError(f"step {step}: no cogood {x}-node on {lam}")
-        lam = nxt
-    return lam
+        row = cogood_row(parts, x)
+        if not row:
+            raise ReplayError(f"step {step}: no cogood {x}-node on {tuple(parts)}")
+        if check:
+            check(parts, row)
+        if row > len(parts):
+            parts.append(0)
+        parts[row - 1] += 1
+    return tuple(parts)
 
 
 def replay_path(word, e: int) -> Partition:
     """Apply cogood additions from the empty partition along a residue word."""
-    return _replay(word, *_cogood_moves(e), e)
+    _require_regular((), e)  # rejects e < 2
+    return _replay(word, lambda parts, x: _cogood_row(parts, x, e), e)
 
 
 @dataclass(frozen=True)
@@ -235,14 +260,13 @@ class CrystalGraph:
     edges: tuple[tuple[Partition, Partition, int], ...]
 
     def level_sizes(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.levels)
+        return tuple([len(level) for level in self.levels])
 
 
 def crystal_edges(rows_of, add, modulus: int, depth: int):
     """Every arrow (lam, add(lam, rows_of(lam)[x]), x) grown from () up to
     depth boxes, add giving None when there is no x-arrow: level by level, lam
-    in lex order within a level, x ascending.  rows_of runs once per vertex;
-    the pair is the one _replay takes."""
+    in lex order within a level, x ascending.  rows_of runs once per vertex."""
     level: list[Partition] = [()]
     for _ in range(depth):
         seen = set()
@@ -258,12 +282,10 @@ def crystal_edges(rows_of, add, modulus: int, depth: int):
 
 def _cogood_moves(e: int):
     """rows_of and add of cogood addition in the e-good lattice, for
-    crystal_edges and _replay: the conormal rows of every residue, and the
-    first one's box."""
-    if e < 2:
-        raise ValueError(f"e must be at least 2, got {e}")
-    return (lambda lam: _normal_conormal_rows(lam, e)[1],
-            lambda lam, rows: _add_box(lam, rows[0] if rows else 0))
+    crystal_edges: the cogood row of every residue, and a box there."""
+    _require_regular((), e)  # rejects e < 2
+    return (lambda lam: _cogood_rows(lam, e),
+            lambda lam, row: _shifted(lam, row, 1))
 
 
 def _crystal_graph(moves, modulus: int, depth: int, expected, label: str) -> CrystalGraph:

@@ -191,7 +191,8 @@ def forbid_crystal(monkeypatch):
         raise AssertionError("the crystal was walked")
     monkeypatch.setattr(typea, "crystal_edges", refuse)
     monkeypatch.setattr(involution, "crystal_edges", refuse)
-    monkeypatch.setattr(typea, "_normal_conormal_rows", refuse)
+    for kernel in ("_good_rows", "_cogood_rows", "_cogood_row"):
+        monkeypatch.setattr(typea, kernel, refuse)
 
 
 def largest_residue_word(lam, remove, modulus):

@@ -275,9 +275,10 @@ def test_short_replay_is_an_internal_error(capsys, tmp_path, monkeypatch):
 
 def test_a_twisted_move_out_of_the_class_is_an_internal_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
-    # a kernel that hands back row 1 for every residue: stripping (2, 1)
+    # row kernels that hand back row 1 for every residue: stripping (2, 1)
     # leaves (1, 1), and growing () reaches (3,), neither 3-strict restricted
-    monkeypatch.setattr(twisted, "_good_cogood_rows", lambda lam, kind: [[1] * kind.modulus] * 2)
+    for kernel in ("_good_rows", "_cogood_rows"):
+        monkeypatch.setattr(twisted, kernel, lambda lam, kind: [1] * kind.modulus)
     assert main(["eta", "--kind", "odd", "--ell", "1", "2,1"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -452,7 +453,15 @@ PINNED_COMMANDS = COMMANDS + [
       for kind, ell, bound in (("even", "1", "28"), ("odd", "2", "26"), ("odd", "3", "30"))
       for fmt in ("jsonl", "dot")),
     *(cmd for kind, ell, lam in (("odd", "1", "6,5,4,3,3,3,2,1"), ("even", "2", "7,5,4,3,3,2"),
-                                 ("odd", "3", "7,7,7,6,2,1"))
+                                 ("odd", "3", "7,7,7,6,2,1"),
+                                 # one more member of 24-30 boxes for each of
+                                 # the five bench kinds, with long runs of
+                                 # equal parts (pair seats)
+                                 ("odd", "1", "3,3,3,3,3,3,3,3,3,1"),
+                                 ("odd", "2", "6,5,5,4,3,2,1"),
+                                 ("odd", "3", "7,7,7,4,3,1"),
+                                 ("even", "1", "5,3,2,2,2,2,2,2,2,2,1"),
+                                 ("even", "2", "6,3,3,3,3,3,3,3,2,1"))
       for cmd in (["twisted", "path", "--kind", kind, "--ell", ell, lam],
                   ["eta", "--kind", kind, "--ell", ell, lam],
                   ["eta", "--kind", kind, "--ell", ell, "--check", lam])),
@@ -545,6 +554,37 @@ PINNED_STDOUT_SHA256 = {
         "37c82870b26e12d4a2ac376334486d15723170df9cdf5bd14ea1a9e19201a09c",
     "eta --kind odd --ell 3 --check 7,7,7,6,2,1":
         "b96f63136f64c8f5af910f22d2bc347a88e8982a3e4f2ebe8a425f88b81b91a2",
+    # Recorded before the strip and the replay moved onto mutable rows.
+    "twisted path --kind odd --ell 1 3,3,3,3,3,3,3,3,3,1":
+        "21e8c4781f3bc5df1eb1c0669a1f78a84cf7622f50f0c99ad00efcaf56f5943a",
+    "eta --kind odd --ell 1 3,3,3,3,3,3,3,3,3,1":
+        "4a738b6c93005710d172a5e08b94dea57a2a2b02b7c3675be7873267faaa7319",
+    "eta --kind odd --ell 1 --check 3,3,3,3,3,3,3,3,3,1":
+        "1f534923abb3f6807a672d4d2bd2eb26c6fd31a1d25ca1e28036bdc23f06e3b2",
+    "twisted path --kind odd --ell 2 6,5,5,4,3,2,1":
+        "5ac717b6586f33af317b8ca70ea960513a7a2fc7f643cf8beff81a7f783fd600",
+    "eta --kind odd --ell 2 6,5,5,4,3,2,1":
+        "e225bdfb13df1a1b55364de5a15b6fbfc0136333086ac550d428d6353d36077b",
+    "eta --kind odd --ell 2 --check 6,5,5,4,3,2,1":
+        "ad6fd213ace2715b9c0442bc38e74572c966fabd8ee0fa2ea819cb53b8dbaf46",
+    "twisted path --kind odd --ell 3 7,7,7,4,3,1":
+        "8b65454458bd8ef8f7bed678b307be64ff88651aeed927572f61d34b3b48d1c2",
+    "eta --kind odd --ell 3 7,7,7,4,3,1":
+        "5f926bbca73605ec0334c475c2f634c49865bda3c59dbc547fd350369baec330",
+    "eta --kind odd --ell 3 --check 7,7,7,4,3,1":
+        "069be67c68404c7b7ed03bd4836e4d0b295baad3079184f1c8b4b42fcbfdca30",
+    "twisted path --kind even --ell 1 5,3,2,2,2,2,2,2,2,2,1":
+        "43641c61a24ca4d8eb4f4da1bb1126319b23f19ada1025af8f249c3676e81a57",
+    "eta --kind even --ell 1 5,3,2,2,2,2,2,2,2,2,1":
+        "2d2c0f06cb118b6e778e7cca732261c17d6316f075b58f42e83bac242076a364",
+    "eta --kind even --ell 1 --check 5,3,2,2,2,2,2,2,2,2,1":
+        "bfbe91e8e9daadbb17ee61e511874d7ba5980d5051a27a36db5073f323d3263c",
+    "twisted path --kind even --ell 2 6,3,3,3,3,3,3,3,2,1":
+        "8f7b8d3fa2f3af462f7007ca9b4e56cb50c2aa80bbfc024c6b91171ad7af5789",
+    "eta --kind even --ell 2 6,3,3,3,3,3,3,3,2,1":
+        "fccfd1effb61de852602a66a8eccbd0257ce524550207ec90d59e88d89c41cf0",
+    "eta --kind even --ell 2 --check 6,3,3,3,3,3,3,3,2,1":
+        "32d4bf8c5f1c38daba70df98415e2a5178d025b58574c5bd8fc9b25cc7863981",
     # Recorded while the fixed side was grown level by level as rim parents.
     "verify --kind odd --ell 1 --max-deg 30":
         "576f4a47e6847441621a355e794824785345fa03606e03d24f573265f38ae4c9",

@@ -22,7 +22,7 @@ from helpers import (
     symmetric_partitions,
 )
 
-from mullineux import involution
+from mullineux import involution, typea
 from mullineux.characters import counts_table
 from mullineux.involution import (
     _fixed_columns,
@@ -40,7 +40,7 @@ from mullineux.partitions import (
     e_regular_partitions,
     residue_counts,
 )
-from mullineux.typea import canonical_path, remove_good, replay_path
+from mullineux.typea import add_cogood, canonical_path, remove_good, replay_path, signature_report
 
 
 def test_spot_images():
@@ -105,6 +105,28 @@ def test_large_shapes_match_the_box_route():
     assert images == [box_route(lam, e, "min") for e, lam in LARGE_SHAPES]
 
 
+def report_replay(word, e):
+    """Cogood additions from the empty partition, each the node that
+    signature_report names, added to a cell set."""
+    lam = ()
+    for x in word:
+        lam = from_diagram(diagram(lam) | {signature_report(lam, x, e).cogood})
+    return lam
+
+
+@pytest.mark.parametrize("e", range(2, 8))
+def test_list_replay_matches_the_report_route(e):
+    # replay_path grows one list of parts through the one-residue cogood
+    # scan; the reference rebuilds a cell set from the sorted, cancelled
+    # report at every step.  Words: the negated box-route words of the
+    # string-route shapes.
+    lams = [lam for n in range(11) for lam in e_regular_partitions(n, e)]
+    lams += random_e_regular_partitions(e, 30, 40, 60, seed=e)
+    for lam in lams:
+        word = tuple(-x % e for x in canonical_path(lam, e))
+        assert replay_path(word, e) == report_replay(word, e) == mullineux(lam, e), lam
+
+
 @pytest.mark.parametrize("e", range(2, 8))
 def test_peel_rim_matches_the_cell_set_rim(e):
     for n in range(19):
@@ -119,6 +141,16 @@ def test_mullineux_never_walks_the_crystal(monkeypatch):
     expected = [box_route(lam, 4, "min") for lam in lams]
     forbid_crystal(monkeypatch)
     assert [mullineux(lam, 4) for lam in lams] == expected
+
+
+def test_forbid_crystal_refuses_every_type_a_kernel(monkeypatch):
+    # every route through a type A row kernel must raise once it is forbidden
+    forbid_crystal(monkeypatch)
+    for route in (lambda: canonical_path((2, 1), 3), lambda: replay_path((0,), 3),
+                  lambda: add_cogood((), 0, 3), lambda: remove_good((1,), 0, 3),
+                  lambda: mullineux_map(3, 2), lambda: typea._cogood_moves(3)[0]((1,))):
+        with pytest.raises(AssertionError, match="the crystal was walked"):
+            route()
 
 
 def test_mullineux_map_needs_a_cogood_step(monkeypatch):

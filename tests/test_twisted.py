@@ -250,15 +250,18 @@ def test_enumerate_twisted_edges_are_operator_arrows():
 @pytest.mark.parametrize("kind", [CrystalKind.odd(ell) for ell in (1, 2, 3, 4)]
                          + [CrystalKind.even(ell) for ell in (1, 2, 3)], ids=str)
 def test_good_cogood_rows_match_signature_report(kind):
-    # the one-pass kernel against one node_scan report per residue, which
-    # share no code: every member to 16 boxes, then 300 seeded members of
-    # 20-40 boxes
+    # the one-pass good-row and cogood-row kernels, on tuples and on the
+    # lists the strip and the replay hold, against one node_scan report per
+    # residue, which share no code: every member to 16 boxes, then 300 seeded
+    # members of 20-40 boxes
     rng = random.Random(15)
     levels = {n: class_partitions(n, kind) for n in range(20, 41)}
     members = [lam for n in range(17) for lam in class_partitions(n, kind)]
     members += [rng.choice(levels[rng.randint(20, 40)]) for _ in range(300)]
     for lam in members:
-        good, cogood = twisted._good_cogood_rows(lam, kind)
+        good, cogood = twisted._good_rows(lam, kind), twisted._cogood_rows(lam, kind)
+        assert twisted._good_rows(list(lam), kind) == good, lam
+        assert twisted._cogood_rows(list(lam), kind) == cogood, lam
         for i in range(kind.modulus):
             report = signature_report_twisted(lam, i, kind)
             assert good[i] == (report.good.node[0] if report.good else 0), (lam, i)

@@ -3,7 +3,6 @@ from hypothesis import given
 
 from conftest import ar_words_st, partitions_st
 from helpers import (
-    all_partitions,
     cancel_by_deletion,
     diagram,
     from_diagram,
@@ -152,6 +151,11 @@ def test_replay_error_carries_step():
         replay_path((1,), 3)
     with pytest.raises(ReplayError, match="step 1"):
         replay_twisted((1,), CrystalKind.odd(2))
+    # the list a replay grows is named as a partition tuple
+    with pytest.raises(ReplayError, match=r"^step 2: no cogood 0-node on \(1,\)$"):
+        replay_path((0, 0), 3)
+    with pytest.raises(ReplayError, match=r"^step 3: no cogood 1-node on \(2,\)$"):
+        replay_twisted((0, 1, 1), CrystalKind.odd(1))
 
 
 def test_first_row_end_is_normal_whenever_removable():
@@ -168,7 +172,7 @@ def test_every_nonempty_partition_has_a_good_node():
     for e in (2, 3, 4):
         for n in range(1, 10):
             for lam in e_regular_partitions(n, e):
-                assert any(typea._normal_conormal_rows(lam, e)[0])
+                assert any(typea._good_rows(lam, e))
 
 
 @given(partitions_st)
@@ -221,20 +225,21 @@ def test_enumerate_kleshchev_edges_are_good_node_arrows():
 
 @pytest.mark.parametrize("e", range(2, 8))
 def test_good_cogood_rows_match_signature_report(e):
-    # the one-pass list kernel against the report built by sort and
-    # cancellation: every normal and every conormal row, top down; the last
-    # normal row is the good node's
-    for n in range(15):
-        for lam in all_partitions(n):
-            if not is_e_regular(lam, e):
-                continue
-            normal, conormal = typea._normal_conormal_rows(lam, e)
+    # the good-row kernel, the all-residue cogood pass of the walks and the
+    # one-residue cogood scan of the replay, on tuples and on the lists the
+    # strip and the replay hold, against the report built by sort and
+    # cancellation: every e-regular partition to 16 boxes, every residue
+    for n in range(17):
+        for lam in e_regular_partitions(n, e):
+            good, cogoods = typea._good_rows(lam, e), typea._cogood_rows(lam, e)
+            assert typea._good_rows(list(lam), e) == good, lam
             for x in range(e):
                 report = signature_report(lam, x, e)
-                assert normal[x] == tuple(row for row, _ in report.normal), (lam, x)
-                assert conormal[x] == tuple(row for row, _ in report.conormal), (lam, x)
-                good = (normal[x][-1], lam[normal[x][-1] - 1]) if normal[x] else None
-                assert good == report.good, (lam, x)
+                assert good[x] == (report.good[0] if report.good else 0), (lam, x)
+                cogood = report.cogood[0] if report.cogood else 0
+                assert cogoods[x] == cogood, (lam, x)
+                assert typea._cogood_row(lam, x, e) == cogood, (lam, x)
+                assert typea._cogood_row(list(lam), x, e) == cogood, (lam, x)
 
 
 @pytest.mark.parametrize("e", range(2, 8))

@@ -37,8 +37,13 @@ def main():
                         help="repeatable; defaults to 2..6")
     parser.add_argument("--max-n", type=int, default=16)
     args = parser.parse_args()
+    es = args.e or [2, 3, 4, 5, 6]
+    if min(es) < 2:
+        parser.error(f"argument -e: must be at least 2, got {min(es)}")
+    if args.max_n < 0:
+        parser.error(f"argument --max-n: must be non-negative, got {args.max_n}")
     start = time.perf_counter()
-    for e in args.e or [2, 3, 4, 5, 6]:
+    for e in es:
         census(e, args.max_n)
     print(f"\ntotal time: {time.perf_counter() - start:.2f}s")
 

@@ -36,6 +36,12 @@ def main():
     parser.add_argument("--max-deg-odd", type=int, default=8)
     parser.add_argument("--max-deg-even", type=int, default=10)
     args = parser.parse_args()
+    if min(args.ells) < 1:
+        parser.error(f"argument --ells: must be at least 1, got {min(args.ells)}")
+    for flag, degree in (("--max-deg-odd", args.max_deg_odd),
+                         ("--max-deg-even", args.max_deg_even)):
+        if degree < 0:
+            parser.error(f"argument {flag}: must be non-negative, got {degree}")
     ok = True
     for ell in args.ells:
         ok &= scan(CrystalKind.odd(ell), args.max_deg_odd)

@@ -18,7 +18,7 @@ from .partitions import (
     e_regular_partitions,
     residue_counts,
 )
-from .typea import _cogood_moves, _require_regular, crystal_edges
+from .typea import _cogood_rows, _require_regular, _shifted, enumerate_kleshchev
 
 
 def mullineux(lam: Partition, e: int) -> Partition:
@@ -41,15 +41,12 @@ def mullineux_map(e: int, max_n: int) -> dict[Partition, Partition]:
     """Images of every e-regular partition of size at most max_n.  mu, first
     reached by an x-arrow from lam, maps to the cogood (-x mod e)-addition to
     lam's image.  The image's rows are read once per source vertex."""
-    if max_n < 0:
-        raise ValueError(f"max_n must be non-negative, got {max_n}")
-    rows_of, add = _cogood_moves(e)
     images, source = {(): ()}, None
-    for lam, mu, x in crystal_edges(rows_of, add, e, max_n):
+    for lam, mu, x in enumerate_kleshchev(e, max_n).edges:
         if mu not in images:
             if lam is not source:
-                source, rows = lam, rows_of(images[lam])
-            image = add(images[lam], rows[-x % e])
+                source, rows = lam, _cogood_rows(images[lam], e)
+            image = _shifted(images[lam], rows[-x % e], 1)
             if image is None:
                 raise InternalConsistencyError(
                     f"negated word has no cogood step at {images[lam]} (e={e})")
@@ -115,12 +112,12 @@ def _column_parent(mu: Partition, r: int, a: int, e: int) -> Partition:
 
 
 def _fixed_columns(e: int, max_n: int) -> list[list[tuple[int, int, int, int]]]:
-    """Entry r: the fixed symbol columns (rows, a, N_0, N_ell), ell = e // 2, of
-    at most max_n nodes that fit just outside a fixed column of r rows (r = 0:
-    the terminator (0, 0) below the last).  Bessenrodt-Olsson: in the symbol of
-    an e-regular partition, each column (a, r) with s = a - r + eps image rows
-    exceeds the next inward by eps..e - 1 + eps in r and in s; fixed: s = r.
-    An e-rim holds a // e nodes of each residue, then 1 - r, ..., a % e - r."""
+    """Entry r, in ascending a: the fixed symbol columns (rows, a, N_0, N_ell), ell = e // 2,
+    of at most max_n nodes that fit just outside a fixed column of r rows (r = 0: the
+    terminator (0, 0) below the last).  Bessenrodt-Olsson: in the symbol of an e-regular
+    partition, each column (a, r) with s = a - r + eps image rows exceeds the next inward by
+    eps..e - 1 + eps in r and in s; fixed: s = r.  An e-rim holds a // e nodes of each
+    residue, then 1 - r, ..., a % e - r."""
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     if e < 2:
@@ -144,9 +141,10 @@ def _fixed_tallies(e: int, max_n: int) -> dict[tuple[int, int, int], int]:
         for (r, m, mp), count in level.items():
             counts[n, m, mp] = counts.get((n, m, mp), 0) + count
             for rows, a, d0, dl in columns[r]:
-                if n + a <= max_n:
-                    key = (rows, m + d0, mp + dl)
-                    levels[n + a][key] = levels[n + a].get(key, 0) + count
+                if n + a > max_n:
+                    break
+                key = (rows, m + d0, mp + dl)
+                levels[n + a][key] = levels[n + a].get(key, 0) + count
     return counts
 
 
@@ -166,7 +164,9 @@ def _fixed_partitions(e: int, n: int) -> list[Partition]:
         if not left:
             level.append(mu)
         for rows, a, *_ in columns[r]:
-            if a <= left and fills[rows][left - a]:
+            if a > left:
+                break
+            if fills[rows][left - a]:
                 stack.append((_column_parent(mu, rows, a, e), rows, left - a))
     return level
 

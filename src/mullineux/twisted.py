@@ -224,7 +224,7 @@ def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    moves = (lambda lam: _cogood_rows(lam, kind), lambda lam, row: _moved(lam, row, kind, True))
-    return _crystal_graph(moves, kind.modulus, max_depth,
-                          lambda n: class_partitions(n, kind),
+    return _crystal_graph(lambda lam: _cogood_rows(lam, kind),
+                          lambda lam, row: _moved(lam, row, kind, True),
+                          kind.modulus, max_depth, lambda n: class_partitions(n, kind),
                           f"class_partitions at {kind.parity} ell={kind.ell}")

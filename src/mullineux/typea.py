@@ -263,54 +263,39 @@ class CrystalGraph:
         return tuple([len(level) for level in self.levels])
 
 
-def crystal_edges(rows_of, add, modulus: int, depth: int):
-    """Every arrow (lam, add(lam, rows_of(lam)[x]), x) grown from () up to
-    depth boxes, add giving None when there is no x-arrow: level by level, lam
-    in lex order within a level, x ascending.  rows_of runs once per vertex."""
-    level: list[Partition] = [()]
-    for _ in range(depth):
+def _crystal_graph(rows_of, add, modulus: int, depth: int, expected, label: str) -> CrystalGraph:
+    """Levels 0..depth grown from () by the arrows (lam, add(lam, rows_of(lam)[x]),
+    x), add giving None when there is no x-arrow: lam in lex order within a
+    level, x ascending, rows_of once per vertex.  Each level n >= 1 is checked
+    against expected(n) before the next is walked; a mismatch raises, naming
+    the level and the label."""
+    levels, edges = [((),)], []
+    for n in range(1, depth + 1):
         seen = set()
-        for lam in level:
+        for lam in levels[-1]:
             rows = rows_of(lam)
             for x in range(modulus):
                 mu = add(lam, rows[x])
                 if mu is not None:
                     seen.add(mu)
-                    yield lam, mu, x
+                    edges.append((lam, mu, x))
         level = sorted(seen)
-
-
-def _cogood_moves(e: int):
-    """rows_of and add of cogood addition in the e-good lattice, for
-    crystal_edges: the cogood row of every residue, and a box there."""
-    _require_regular((), e)  # rejects e < 2
-    return (lambda lam: _cogood_rows(lam, e),
-            lambda lam, row: _shifted(lam, row, 1))
-
-
-def _crystal_graph(moves, modulus: int, depth: int, expected, label: str) -> CrystalGraph:
-    """Graph of crystal_edges(*moves, modulus, depth); a level n >= 1 that
-    differs from expected(n) raises, naming the level and the label."""
-    edges = tuple(crystal_edges(*moves, modulus, depth))
-    reached: list[set[Partition]] = [{()}] + [set() for _ in range(depth)]
-    for _, mu, _ in edges:
-        reached[sum(mu)].add(mu)
-    levels = [sorted(level) for level in reached]
-    for n in range(1, depth + 1):
-        if levels[n] != expected(n):
-            raise InternalConsistencyError(
-                f"level {n}: reachable set differs from {label}")
-    return CrystalGraph(tuple(map(tuple, levels)), edges)
+        if level != expected(n):
+            raise InternalConsistencyError(f"level {n}: reachable set differs from {label}")
+        levels.append(tuple(level))
+    return CrystalGraph(tuple(levels), tuple(edges))
 
 
 def enumerate_kleshchev(e: int, max_n: int) -> CrystalGraph:
     """Levels 0..max_n of the e-good lattice with residue-labeled edges.
 
-    Built by cogood addition from the empty partition; every level is then
-    cross-checked against e_regular_partitions, and a mismatch raises (the
-    two constructions agreeing is a correctness signal, not an assumption).
+    Built by cogood addition from the empty partition; each level is checked
+    against e_regular_partitions before the next is walked, and a mismatch
+    raises: the two constructions agreeing is a signal, not an assumption.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
-    return _crystal_graph(_cogood_moves(e), e, max_n,
-                          lambda n: e_regular_partitions(n, e), f"e_regular_partitions at e={e}")
+    _require_regular((), e)  # rejects e < 2
+    return _crystal_graph(lambda lam: _cogood_rows(lam, e), lambda lam, row: _shifted(lam, row, 1),
+                          e, max_n, lambda n: e_regular_partitions(n, e),
+                          f"e_regular_partitions at e={e}")

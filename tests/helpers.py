@@ -185,12 +185,11 @@ def mullineux_on_symbol(columns, e):
 
 def forbid_crystal(monkeypatch):
     """Make every walk of the type A crystal, and every boundary scan, raise."""
-    from mullineux import involution, typea
+    from mullineux import typea
 
     def refuse(*args):
         raise AssertionError("the crystal was walked")
-    monkeypatch.setattr(typea, "crystal_edges", refuse)
-    monkeypatch.setattr(involution, "crystal_edges", refuse)
+    monkeypatch.setattr(typea, "_crystal_graph", refuse)
     for kernel in ("_good_rows", "_cogood_rows", "_cogood_row"):
         monkeypatch.setattr(typea, kernel, refuse)
 
@@ -226,31 +225,31 @@ def unfold_by_largest(lam, kind):
 def unfold_walk(kind, max_size):
     """Every twisted-crystal vertex whose unfolded image has at most max_size
     boxes, mapped to that image: the third fixed-point route, after the
-    symbols and the brute-force map.  A pruned crystal_edges walk whose rows
-    are the residues themselves: add(lam, x) takes the x-arrow lam -> mu and
-    extends lam's image by the block expand_residue(x) through cogood
-    additions, and is cut once the image would pass max_size, which is sound
-    as every arrow grows the image by its block.  A vertex reached by a
-    second arrow must get the same image."""
+    symbols and the brute-force map.  Its own breadth-first walk through the
+    public operators, sharing no walk code with the library: the x-arrow
+    lam -> mu extends lam's image by the block expand_residue(x) through
+    cogood additions, and is cut once the image would pass max_size, which
+    is sound as every arrow grows the image by its block.  A vertex reached
+    by a second arrow must get the same image."""
     from mullineux.folding import expand_residue
     from mullineux.twisted import f_twisted
-    from mullineux.typea import add_cogood, crystal_edges
+    from mullineux.typea import add_cogood
 
-    images = {(): ()}
-
-    def add(lam, x):
-        image, block = images[lam], expand_residue(x, kind)
-        mu = f_twisted(lam, x, kind)
-        if mu is None or sum(image) + len(block) > max_size:
-            return None
-        for y in block:
-            image = add_cogood(image, y, kind.e)
-            assert image is not None, (lam, x)
-        assert images.setdefault(mu, image) == image, (lam, x)
-        return mu
-
-    for _ in crystal_edges(lambda lam: range(kind.modulus), add, kind.modulus, max_size):
-        pass
+    images, level = {(): ()}, [()]
+    while level:
+        reached = []
+        for lam in level:
+            for x in range(kind.modulus):
+                image, block, mu = images[lam], expand_residue(x, kind), f_twisted(lam, x, kind)
+                if mu is None or sum(image) + len(block) > max_size:
+                    continue
+                for y in block:
+                    image = add_cogood(image, y, kind.e)
+                    assert image is not None, (lam, x)
+                if mu not in images:
+                    reached.append(mu)
+                assert images.setdefault(mu, image) == image, (lam, x)
+        level = reached
     return images
 
 

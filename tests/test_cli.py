@@ -742,6 +742,24 @@ def test_identity_scan_script_passes(tmp_path):
     assert run.stdout.count("result: PASS") == 2
 
 
+@pytest.mark.parametrize("name, args, message", [
+    ("fixed_point_census.py", ["-e", "1"], "argument -e: must be at least 2, got 1"),
+    ("fixed_point_census.py", ["--max-n", "-1"],
+     "argument --max-n: must be non-negative, got -1"),
+    ("identity_scan.py", ["--ells", "0"], "argument --ells: must be at least 1, got 0"),
+    ("identity_scan.py", ["--max-deg-odd", "-1"],
+     "argument --max-deg-odd: must be non-negative, got -1"),
+    ("identity_scan.py", ["--max-deg-even", "-1"],
+     "argument --max-deg-even: must be non-negative, got -1"),
+])
+def test_scripts_reject_out_of_range_values(tmp_path, name, args, message):
+    run = run_script(name, args, tmp_path)
+    assert run.returncode == 2 and run.stdout == ""
+    errors = [line for line in run.stderr.splitlines() if "error:" in line]
+    assert errors == [f"{name}: error: {message}"], run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_fixed_point_census_script_runs(tmp_path):
     run = run_script("fixed_point_census.py", ["-e", "3", "--max-n", "8"], tmp_path)
     assert run.returncode == 0, run.stderr

@@ -22,7 +22,7 @@ from helpers import (
     symmetric_partitions,
 )
 
-from mullineux import involution, typea
+from mullineux import involution
 from mullineux.characters import counts_table
 from mullineux.involution import (
     _fixed_columns,
@@ -40,7 +40,15 @@ from mullineux.partitions import (
     e_regular_partitions,
     residue_counts,
 )
-from mullineux.typea import add_cogood, canonical_path, remove_good, replay_path, signature_report
+from mullineux.typea import (
+    CrystalGraph,
+    add_cogood,
+    canonical_path,
+    enumerate_kleshchev,
+    remove_good,
+    replay_path,
+    signature_report,
+)
 
 
 def test_spot_images():
@@ -148,15 +156,15 @@ def test_forbid_crystal_refuses_every_type_a_kernel(monkeypatch):
     forbid_crystal(monkeypatch)
     for route in (lambda: canonical_path((2, 1), 3), lambda: replay_path((0,), 3),
                   lambda: add_cogood((), 0, 3), lambda: remove_good((1,), 0, 3),
-                  lambda: mullineux_map(3, 2), lambda: typea._cogood_moves(3)[0]((1,))):
+                  lambda: mullineux_map(3, 2), lambda: enumerate_kleshchev(3, 1)):
         with pytest.raises(AssertionError, match="the crystal was walked"):
             route()
 
 
 def test_mullineux_map_needs_a_cogood_step(monkeypatch):
     # An arrow () -> (1,) at residue 1 asks for a cogood 2-node of (), which has none.
-    monkeypatch.setattr(involution, "crystal_edges",
-                        lambda rows_of, add, e, max_n: [((), (1,), 1)])
+    monkeypatch.setattr(involution, "enumerate_kleshchev", lambda e, max_n: CrystalGraph(
+        (((),), ((1,),)), (((), (1,), 1),)))
     with pytest.raises(InternalConsistencyError,
                        match=r"negated word has no cogood step at \(\) \(e=3\)"):
         mullineux_map(3, 1)
@@ -292,6 +300,14 @@ def fixed_symbols(e, max_n):
             if n + a <= max_n:
                 stack.append((inner + ((a, rows),), rows, n + a))
     return found
+
+
+@pytest.mark.parametrize("e", [*range(2, 8), 50])
+def test_fixed_columns_ascend_in_nodes(e):
+    # _fixed_tallies and _fixed_partitions stop at the first column too big.
+    for entries in _fixed_columns(e, 120):
+        nodes = [a for _, a, *_ in entries]
+        assert nodes == sorted(nodes) and len(set(nodes)) == len(nodes), nodes
 
 
 @pytest.mark.parametrize("e", range(2, 8))

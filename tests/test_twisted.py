@@ -222,15 +222,35 @@ def test_odd1_level_sizes():
     assert enumerate_twisted(ODD1, 6).level_sizes() == (1, 1, 1, 1, 1, 2, 2)
 
 
+def short_level_5(n, kind):
+    level = class_partitions(n, kind)
+    return level[1:] if n == 5 else level
+
+
 def test_enumerate_twisted_cross_check_fires(monkeypatch):
-    def short_level_5(n, kind):
-        level = class_partitions(n, kind)
-        return level[1:] if n == 5 else level
     monkeypatch.setattr(twisted, "class_partitions", short_level_5)
     with pytest.raises(InternalConsistencyError) as excinfo:
         enumerate_twisted(ODD1, 6)
     assert str(excinfo.value) == (
         "level 5: reachable set differs from class_partitions at odd ell=1")
+
+
+def test_a_bad_level_stops_the_walk(monkeypatch):
+    # Level 5 is checked before level 6 is walked, so the kernel reads only
+    # the vertices of levels 0..4, each once.
+    walked = [lam for level in enumerate_twisted(ODD1, 4).levels for lam in level]
+    read, cogood_rows = [], twisted._cogood_rows
+
+    def counted(lam, kind):
+        read.append(lam)
+        return cogood_rows(lam, kind)
+    monkeypatch.setattr(twisted, "_cogood_rows", counted)
+    monkeypatch.setattr(twisted, "class_partitions", short_level_5)
+    with pytest.raises(InternalConsistencyError) as excinfo:
+        enumerate_twisted(ODD1, 12)
+    assert str(excinfo.value) == (
+        "level 5: reachable set differs from class_partitions at odd ell=1")
+    assert read == walked
 
 
 @pytest.mark.parametrize("kind", (EVEN1, EVEN2, CrystalKind.even(3)))

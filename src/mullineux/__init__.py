@@ -15,7 +15,6 @@ from .folding import (
     FoldedCartan,
     FoldReport,
     check_fold_relations,
-    expand_residue,
     fold_cartan,
     unfold,
 )

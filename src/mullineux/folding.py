@@ -1,26 +1,28 @@
-"""Diagram folding: folded Cartan matrices, residue-block expansion, and the
-embedding of twisted-crystal vertices onto Mullineux-fixed partitions.
+"""Diagram folding: folded Cartan matrices, and the embedding of twisted-crystal
+vertices onto Mullineux-fixed partitions.
 
 The degree-e affine type A Cartan matrix is folded along the involution
-fixing 0 and swapping i with e - i.  A residue word in the twisted crystal
-expands letter by letter into a type A residue word (one block per letter,
-in the printed block order), and replaying the expansion builds a
-Mullineux-fixed partition.  A replay step with no cogood node would
-contradict the construction and raises instead of being skipped.
+fixing 0 and swapping i with e - i.  A twisted-crystal vertex lam unfolds to
+the Mullineux-fixed partition whose symbol is c(lam_1), c(lam_2), ...,
+outermost first, c(p) being the p-th fixed symbol column in ascending a
+(`unfold`).  The paper builds the same partition by expanding a residue word
+of lam into type A residue blocks and replaying them by cogood addition; the
+tests keep that construction as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
+from .involution import _column_parent, _fixed_symbol_columns
 from .partitions import (
     CrystalKind,
     InternalConsistencyError,
     Partition,
     residue_counts,
 )
-from .twisted import canonical_path_twisted
-from .typea import ReplayError, replay_path
+from .twisted import _require_class, canonical_path_twisted
 
 
 def affine_type_a_cartan(e: int) -> tuple[tuple[int, ...], ...]:
@@ -86,48 +88,21 @@ def fold_cartan(e: int) -> FoldedCartan:
     return FoldedCartan(e, ell, tuple(matrix), orbit_sizes, c_diag)
 
 
-def expand_residue(r, kind: CrystalKind) -> tuple[int, ...]:
-    """Type A residue block replacing one twisted-crystal letter.
-
-    Odd kind (e = 2*ell + 1): 0 stays a single arrow, a middle letter r
-    becomes (r, e - r), and ell becomes (ell+1, ell, ell, ell+1).  Even kind
-    (e = 2*ell): 0 and ell stay single arrows, a middle letter r becomes
-    (r, e - r).
-    """
-    ell = kind.ell
-    rv = int(r)
-    if not 0 <= rv <= ell:
-        raise ValueError(f"residue {rv} out of range 0..{ell}")
-    if rv == 0 or rv == ell and not kind.is_odd:
-        return (rv,)
-    if rv == ell:
-        return (ell + 1, ell, ell, ell + 1)
-    return (rv, kind.e - rv)
-
-
-def expand_word(word, kind: CrystalKind) -> tuple[int, ...]:
-    """Concatenate the blocks of a twisted residue word, preserving order."""
-    return tuple([x for r in word for x in expand_residue(r, kind)])
-
-
 def unfold(lam: Partition, kind: CrystalKind) -> Partition:
-    """Image of a twisted-crystal vertex in the type A good-node lattice.
+    """Image of a twisted-crystal vertex among the Mullineux-fixed partitions.
 
-    Expands a residue word for lam block by block and replays it by cogood
-    addition from the empty partition; the result is Mullineux-fixed.
+    Part p becomes c(p), the p-th fixed symbol column in ascending a: (a, (a + 1) / 2)
+    for odd a that e does not divide, (a, a / 2) for even a that e divides.  Adjacent
+    parts p, q (q = 0 past the end) fit the class rule exactly when c(p) may sit just
+    outside c(q) by Bessenrodt-Olsson's adjacent-column rule, so c(lam_1), c(lam_2),
+    ... is the symbol of a fixed partition, rebuilt from the innermost column out.
     """
-    return _unfold(lam, kind)[1]
-
-
-def _unfold(lam: Partition, kind: CrystalKind) -> tuple[tuple, Partition]:
-    """The residue word of lam and the cogood replay of its block expansion."""
-    word = canonical_path_twisted(lam, kind)
-    try:
-        return word, replay_path(expand_word(word, kind), kind.e)
-    except ReplayError as exc:
-        raise InternalConsistencyError(
-            f"block expansion of {lam} ({kind.parity}, ell={kind.ell}) "
-            f"failed to replay: {exc}") from exc
+    _require_class(lam, kind)
+    columns = list(islice(_fixed_symbol_columns(kind.e), lam[0] if lam else 0))
+    image = ()
+    for part in reversed(lam):
+        image = _column_parent(image, *columns[part - 1], kind.e)
+    return image
 
 
 @dataclass(frozen=True)
@@ -179,9 +154,10 @@ def check_fold_relations(lam: Partition, kind: CrystalKind) -> FoldReport:
     the image has residue profile determined coordinate-wise by the letter
     counts, and size 2n - a_0 + 2*a_ell (odd kind) or 2n - a_0 - a_ell
     (even kind); the middle tallies of the odd kind agree and are even, and
-    the stated size/count parities hold.
+    the stated size/count parities hold.  The letter counts come from the
+    canonical residue word, the image from the symbol columns of unfold.
     """
-    word, image = _unfold(lam, kind)
+    word, image = canonical_path_twisted(lam, kind), unfold(lam, kind)
     n = sum(lam)
     counts = tuple([word.count(r) for r in range(kind.modulus)])
     profile = residue_counts(image, kind.e)

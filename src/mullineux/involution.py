@@ -11,6 +11,8 @@ listing.  No route walks the crystal; `mullineux_map` is the tests' reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator
 
 from .partitions import (
     InternalConsistencyError,
@@ -111,6 +113,13 @@ def _column_parent(mu: Partition, r: int, a: int, e: int) -> Partition:
     raise InternalConsistencyError(f"symbol column ({a}, {r}) has no rim parent of {mu} (e={e})")
 
 
+def _fixed_symbol_columns(e: int) -> Iterator[tuple[int, int]]:
+    """Every fixed symbol column (rows, a), in ascending a: a column (a, r) is fixed when its
+    image column (a, a - r + eps) is itself, so a = 2r - 1 with e not dividing a (eps = 1) or
+    a = 2r with e dividing a (eps = 0)."""
+    return (((a + 1) // 2, a) for a in count(1) if (a % e == 0) == (a % 2 == 0))
+
+
 def _fixed_columns(e: int, max_n: int) -> list[list[tuple[int, int, int, int]]]:
     """Entry r, in ascending a: the fixed symbol columns (rows, a, N_0, N_ell), ell = e // 2,
     of at most max_n nodes that fit just outside a fixed column of r rows (r = 0: the
@@ -123,12 +132,13 @@ def _fixed_columns(e: int, max_n: int) -> list[list[tuple[int, int, int, int]]]:
     if e < 2:
         raise ValueError(f"e must be at least 2, got {e}")
     columns: list[list[tuple[int, int, int, int]]] = [[] for _ in range((max_n + 3) // 2)]
-    for rows in range(1, (max_n + 3) // 2):
-        for a, eps in ((2 * rows - 1, 1), (2 * rows, 0)):
-            if a <= max_n and eps == (a % e != 0):
-                tally = (rows, a, *(a // e + ((x + rows - 1) % e < a % e) for x in (0, e // 2)))
-                for r in range(max(rows - e + 1 - eps, 0), rows - eps + 1):
-                    columns[r].append(tally)
+    for rows, a in _fixed_symbol_columns(e):
+        if a > max_n:
+            break
+        eps = a % 2
+        tally = (rows, a, *(a // e + ((x + rows - 1) % e < a % e) for x in (0, e // 2)))
+        for r in range(max(rows - e + 1 - eps, 0), rows - eps + 1):
+            columns[r].append(tally)
     return columns
 
 

@@ -73,10 +73,11 @@ def _fits(upper: int, lower: int, f: int, bound: float) -> bool:
 
 
 def _all_fit(lam: Partition, f: int, bound: float) -> bool:
-    """Every adjacent pair fits, and lam has no trailing 0 (which fits 0)."""
+    """Every part is an int, every adjacent pair fits, and lam has no trailing 0
+    (which fits 0)."""
     if f < 2:
         raise ValueError(f"f must be at least 2, got {f}")
-    return 0 not in lam[-1:] and all(
+    return all(isinstance(part, int) for part in lam) and 0 not in lam[-1:] and all(
         _fits(upper, lower, f, bound) for upper, lower in zip(lam, lam[1:] + (0,)))
 
 

@@ -211,15 +211,45 @@ def largest_residue_word(lam, remove, modulus):
     return tuple(reversed(word))
 
 
+def expand_residue(r, kind):
+    """The paper's type A residue block replacing one twisted-crystal letter.
+
+    Odd kind (e = 2*ell + 1): 0 stays a single arrow, a middle letter r
+    becomes (r, e - r), and ell becomes (ell+1, ell, ell, ell+1).  Even kind
+    (e = 2*ell): 0 and ell stay single arrows, a middle letter r becomes
+    (r, e - r).
+    """
+    ell = kind.ell
+    rv = int(r)
+    if not 0 <= rv <= ell:
+        raise ValueError(f"residue {rv} out of range 0..{ell}")
+    if rv == 0 or rv == ell and not kind.is_odd:
+        return (rv,)
+    if rv == ell:
+        return (ell + 1, ell, ell, ell + 1)
+    return (rv, kind.e - rv)
+
+
+def expand_word(word, kind):
+    """Concatenate the blocks of a twisted residue word, preserving order."""
+    return tuple([x for r in word for x in expand_residue(r, kind)])
+
+
+def unfold_by_replay(word, kind):
+    """The paper's construction of unfold's image: the block expansion of a
+    residue word of the vertex, replayed by type A cogood additions."""
+    from mullineux.typea import replay_path
+
+    return replay_path(expand_word(word, kind), kind.e)
+
+
 def unfold_by_largest(lam, kind):
     """unfold's image of lam, rebuilt by replaying the block expansion of its
     largest-residue word from e_twisted."""
-    from mullineux.folding import expand_word
     from mullineux.twisted import e_twisted
-    from mullineux.typea import replay_path
 
     word = largest_residue_word(lam, lambda cur, i: e_twisted(cur, i, kind), kind.modulus)
-    return replay_path(expand_word(word, kind), kind.e)
+    return unfold_by_replay(word, kind)
 
 
 def unfold_walk(kind, max_size):
@@ -231,7 +261,6 @@ def unfold_walk(kind, max_size):
     cogood additions, and is cut once the image would pass max_size, which
     is sound as every arrow grows the image by its block.  A vertex reached
     by a second arrow must get the same image."""
-    from mullineux.folding import expand_residue
     from mullineux.twisted import f_twisted
     from mullineux.typea import add_cogood
 
@@ -319,6 +348,17 @@ def rule_symbols(e, max_n):
                 if eps <= a - rows + eps - s <= e - 1 + eps:
                     stack.append((inner + ((a, rows),), rows, a - rows + eps, n + a))
     return found
+
+
+def fixed_column(p, e):
+    """c(p): the p-th column (a, r) of a Mullineux-fixed symbol, in ascending a.
+    A column is fixed when 2r = a + eps (eps = 0 if e divides a, else 1), so
+    its a is odd and prime to e, or even and divisible by e."""
+    a = 0
+    while p:
+        a += 1
+        p -= (a % 2 == 1) == (a % e != 0)
+    return a, (a + 1) // 2
 
 
 def rim_tally(a, r, e):

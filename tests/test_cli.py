@@ -276,10 +276,14 @@ def test_short_replay_is_an_internal_error(capsys, tmp_path, monkeypatch):
 def test_a_twisted_move_out_of_the_class_is_an_internal_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
     # row kernels that hand back row 1 for every residue: stripping (2, 1)
-    # leaves (1, 1), and growing () reaches (3,), neither 3-strict restricted
+    # leaves (1, 1), and growing () reaches (3,), neither 3-strict restricted.
+    # eta builds its image from symbol columns and reads no kernel; eta
+    # --check strips its vertex for the word it prints.
     for kernel in ("_good_rows", "_cogood_rows"):
         monkeypatch.setattr(twisted, kernel, lambda lam, kind: [1] * kind.modulus)
-    assert main(["eta", "--kind", "odd", "--ell", "1", "2,1"]) == EXIT_INTERNAL
+    assert main(["eta", "--kind", "odd", "--ell", "1", "2,1"]) == 0
+    assert capsys.readouterr().out == "4,1,1\n"
+    assert main(["eta", "--kind", "odd", "--ell", "1", "--check", "2,1"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: good removal left the class: (2, 1) - row 1\n"
@@ -437,6 +441,21 @@ def test_fuzzed_argv_exits_with_a_documented_status(argv, tmp_path_factory):
     assert code in (0, 1, 2, 3), argv
 
 
+# Class members far past the bench's sizes: 3^3000 2 (odd ell=1, 9,002 boxes),
+# the staircase 140, ..., 1 (even ell=2, 9,870 boxes), and one of 500 boxes
+# per parity.
+ODD1_THREES = ",".join(["3"] * 3000 + ["2"])
+EVEN2_STAIRCASE = format_partition(stair(140, 1))
+ODD2_500 = "52,50,47,43,40,40,39,36,31,28,23,20,17,12,9,5,5,3"
+EVEN2_500 = "55,51,49,44,41,36,35,34,30,26,21,20,16,13,11,9,5,4"
+
+
+def argv_id(args):
+    """The command line, with a literal of more than 100 characters cut short."""
+    return " ".join(arg if len(arg) <= 100 else f"{arg[:20]}...({len(arg)} chars)"
+                    for arg in args)
+
+
 # sha256 of each command's stdout, recorded with the 0.1.0 code.  CLI output
 # must stay byte-identical from version to version, and comparing two runs of
 # the same code cannot catch, say, a reordered edge list.
@@ -474,6 +493,11 @@ PINNED_COMMANDS = COMMANDS + [
     ["alt-count", "-e", "4", "-n", "60"],
     ["fixed", "-e", "4", "-n", "40", "--profile"],
     ["fixed", "-e", "7", "-n", "49"],
+    # Recorded while eta replayed the block expansion of a residue word.
+    ["eta", "--kind", "odd", "--ell", "1", ODD1_THREES],
+    ["eta", "--kind", "even", "--ell", "2", EVEN2_STAIRCASE],
+    ["eta", "--kind", "odd", "--ell", "2", "--check", ODD2_500],
+    ["eta", "--kind", "even", "--ell", "2", "--check", EVEN2_500],
 ]
 PINNED_STDOUT_SHA256 = {
     "compute -e 3 3,1,1":
@@ -600,10 +624,18 @@ PINNED_STDOUT_SHA256 = {
         "942a9c90bc475a187ff00e6d52b2003e0716882d1e5ad8be6dd195c7b3261751",
     "fixed -e 7 -n 49":
         "4a555a545c15bd8e7b0937a86a6a3dd1a51b22e0c919d1675b60c562795fefc7",
+    f"eta --kind odd --ell 1 {ODD1_THREES}":
+        "8996813be264991ce72d45b64752cf69c48655ff9df559f482a24f86df8b787f",
+    f"eta --kind even --ell 2 {EVEN2_STAIRCASE}":
+        "d12ec48144a84d3e0f672c751c5f689610b8c9b62fdefcf35502bf1a0b5758c3",
+    f"eta --kind odd --ell 2 --check {ODD2_500}":
+        "8b841baf7643b3d1beebf64d8d4827bbca2bd1367bffe8788bcc0bdc889e3f83",
+    f"eta --kind even --ell 2 --check {EVEN2_500}":
+        "b1fb9d7f3baa8dab51dbe57ea897c174a9b82e89481762a8a466c85036038f21",
 }
 
 
-@pytest.mark.parametrize("args", PINNED_COMMANDS, ids=lambda a: " ".join(a))
+@pytest.mark.parametrize("args", PINNED_COMMANDS, ids=argv_id)
 def test_stdout_matches_pinned_digest(args, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
     assert main(args) == 0

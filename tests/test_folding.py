@@ -1,21 +1,29 @@
 import pytest
-from helpers import unfold_by_largest
+from helpers import (
+    expand_residue,
+    expand_word,
+    fixed_column,
+    peeled_symbol,
+    unfold_by_largest,
+    unfold_by_replay,
+)
 
-from mullineux import folding
+from mullineux import folding, twisted, typea
 from mullineux.folding import (
     affine_type_a_cartan,
     check_fold_relations,
-    expand_residue,
-    expand_word,
     fold_cartan,
     unfold,
 )
-from mullineux.involution import mullineux
-from mullineux.partitions import CrystalKind, residue_counts
-from mullineux.twisted import class_partitions
+from mullineux.involution import _fixed_columns, mullineux
+from mullineux.partitions import CrystalKind, _fits, residue_counts
+from mullineux.twisted import canonical_path_twisted, class_partitions, f_twisted, in_crystal_class
 
 ODD1, ODD2 = CrystalKind.odd(1), CrystalKind.odd(2)
 EVEN1, EVEN2 = CrystalKind.even(1), CrystalKind.even(2)
+# Largest size at which every class member is unfolded both ways, per kind.
+REPLAY_SIZES = {ODD1: 24, ODD2: 22, EVEN1: 22, EVEN2: 20, CrystalKind.odd(3): 20,
+                CrystalKind.odd(5): 20, CrystalKind.even(3): 20, CrystalKind.even(5): 18}
 
 FOLDED = {
     2: ((2, -2), (-2, 2)),
@@ -87,11 +95,39 @@ def test_unfold_spot_values():
     assert mullineux(image, 3) == image
 
 
-@pytest.mark.parametrize("kind", (ODD1, ODD2, EVEN1, EVEN2))
+@pytest.mark.parametrize("kind", REPLAY_SIZES)
 def test_unfold_is_path_independent(kind):
-    for n in range(9):
+    # The symbol relabelling equals the paper's construction, the block
+    # expansion replayed from the smallest- and from the largest-residue
+    # word, and peeling its image gives back the columns c(p) of the parts.
+    for n in range(REPLAY_SIZES[kind] + 1):
         for lam in class_partitions(n, kind):
-            assert unfold(lam, kind) == unfold_by_largest(lam, kind)
+            image = unfold(lam, kind)
+            assert image == unfold_by_largest(lam, kind), lam
+            assert image == unfold_by_replay(canonical_path_twisted(lam, kind), kind), lam
+            assert peeled_symbol(image, kind.e) == tuple(fixed_column(p, kind.e) for p in lam)
+
+
+@pytest.mark.parametrize("kind", REPLAY_SIZES)
+def test_the_class_rule_is_the_fixed_column_rule(kind):
+    # Parts p, q fit exactly when c(p) may sit just outside c(q) (for q = 0,
+    # the terminator): the twisted and the symbol leg of verify read one rule.
+    f = kind.strict_f
+    bound = f if kind.is_odd else 2 * f
+    columns = _fixed_columns(kind.e, fixed_column(60, kind.e)[0])
+    for q in range(61):
+        outside = {(a, rows) for rows, a, *_ in columns[fixed_column(q, kind.e)[1]]}
+        for p in range(1, 61):
+            assert _fits(p, q, f, bound) == (fixed_column(p, kind.e) in outside), (p, q)
+
+
+@pytest.mark.parametrize("kind", (ODD1, EVEN1))
+def test_non_int_parts_are_not_class_members(kind):
+    assert not in_crystal_class((2.0,), kind)
+    for call in (unfold, check_fold_relations, canonical_path_twisted,
+                 lambda lam, kind: f_twisted(lam, 0, kind)):
+        with pytest.raises(ValueError, match=r"^\(2\.0,\) is not a "):
+            call((2.0,), kind)
 
 
 @pytest.mark.parametrize("kind", (ODD1, ODD2, CrystalKind.odd(3),
@@ -133,19 +169,33 @@ def test_report_serializes():
 
 @pytest.mark.parametrize("kind", (ODD1, ODD2, EVEN1, EVEN2))
 def test_fold_check_strips_its_vertex_once(kind, monkeypatch):
-    calls = []
-    path = folding.canonical_path_twisted
+    # unfold neither strips nor replays; the check strips once, for its word.
+    calls, strips = [], []
+    path, strip = folding.canonical_path_twisted, twisted._strip_good_nodes
 
     def counted(*args, **kwargs):
         calls.append(args)
         return path(*args, **kwargs)
 
+    def counted_strip(*args):
+        strips.append(args)
+        return strip(*args)
+
+    def refuse(*args):
+        raise AssertionError("a residue word was replayed")
+
     for n in range(8):
         for lam in class_partitions(n, kind):
             image = unfold(lam, kind)
             monkeypatch.setattr(folding, "canonical_path_twisted", counted)
+            monkeypatch.setattr(twisted, "_strip_good_nodes", counted_strip)
+            monkeypatch.setattr(twisted, "_replay", refuse)
+            monkeypatch.setattr(typea, "_replay", refuse)
             calls.clear()
+            strips.clear()
+            assert unfold(lam, kind) == image
+            assert not calls and not strips, lam
             report = check_fold_relations(lam, kind)
-            assert len(calls) == 1, lam
+            assert len(calls) == len(strips) == 1, lam
             monkeypatch.undo()
             assert report.image == image and report.word == path(lam, kind)

@@ -62,10 +62,14 @@ def cmd_crystal_export(args) -> int:
     if args.kind == "typea":
         if args.e is None:
             raise ValueError("--kind typea requires -e")
+        if args.ell is not None:
+            raise ValueError("--kind typea takes no --ell")
         param, value, build = "e", args.e, partial(enumerate_kleshchev, args.e)
     else:
         if args.ell is None:
             raise ValueError(f"--kind {args.kind} requires --ell")
+        if args.e is not None:
+            raise ValueError(f"--kind {args.kind} takes no -e")
         param, value, build = "ell", args.ell, partial(enumerate_twisted, _kind_from(args))
     header = {"bound": args.bound, param: value, "format": "mull.crystal",
               "kind": args.kind, "version": 1}

@@ -54,15 +54,18 @@ def conjugate(lam: Partition) -> Partition:
                   for _ in range(lam[i - 1] - (lam[i] if i < len(lam) else 0))])
 
 
+def _is_partition(lam) -> bool:
+    """Every part is an int, and the parts weakly decrease to a last one >= 1."""
+    return all(isinstance(part, int) for part in lam) and all(
+        part >= below for part, below in zip(lam, (*lam[1:], 1)))
+
+
 def is_e_regular(lam: Partition, e: int) -> bool:
-    """True iff lam is a partition (weakly decreasing positive ints) in which
-    every part value occurs fewer than e times: each part exceeds the one
-    e - 1 rows below it."""
+    """True iff lam is a partition in which every part value occurs fewer
+    than e times: each part exceeds the one e - 1 rows below it."""
     if e < 2:
         raise ValueError(f"e must be at least 2, got {e}")
-    return (all(isinstance(part, int) for part in lam)
-            and all(part >= below for part, below in zip(lam, (*lam[1:], 1)))
-            and all(part > below for part, below in zip(lam, lam[e - 1:])))
+    return _is_partition(lam) and all(part > below for part, below in zip(lam, lam[e - 1:]))
 
 
 def _fits(upper: int, lower: int, f: int, bound: float) -> bool:
@@ -97,12 +100,13 @@ def is_double_restricted_strict(lam: Partition, f: int) -> bool:
 
 
 def is_symmetric(lam: Partition) -> bool:
-    """True iff the partition equals its conjugate."""
-    return lam == conjugate(lam)
+    """True iff lam is a partition that equals its conjugate."""
+    return _is_partition(lam) and lam == conjugate(lam)
 
 
 def has_distinct_parts(lam: Partition) -> bool:
-    return all(lam[i] > lam[i + 1] for i in range(len(lam) - 1))
+    """True iff lam is a partition with no repeated part."""
+    return _is_partition(lam) and all(part > below for part, below in zip(lam, lam[1:]))
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,7 @@ def canonical_path_twisted(lam: Partition, kind: CrystalKind) -> tuple[int, ...]
 
 def replay_twisted(word, kind: CrystalKind) -> Partition:
     """Apply f_twisted from the empty partition along a residue word."""
-    return _replay(word, lambda parts, x: _cogood_rows(parts, kind)[x], kind.modulus,
+    return _replay(word, lambda parts: _cogood_rows(parts, kind), kind.modulus,
                    lambda parts, row: _check_move(parts, row, kind, True))
 
 
@@ -224,7 +224,7 @@ def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    return _crystal_graph(lambda lam: _cogood_rows(lam, kind),
-                          lambda lam, row: _moved(lam, row, kind, True),
-                          kind.modulus, max_depth, lambda n: class_partitions(n, kind),
-                          f"class_partitions at {kind.parity} ell={kind.ell}")
+    return _crystal_graph(lambda lam: _cogood_rows(lam, kind), max_depth,
+                          lambda n: class_partitions(n, kind),
+                          f"class_partitions at {kind.parity} ell={kind.ell}",
+                          lambda lam, row: _check_move(lam, row, kind, True))

@@ -134,14 +134,13 @@ def remove_good(lam: Partition, x, e: int) -> Partition | None:
 def add_cogood(lam: Partition, x, e: int) -> Partition | None:
     """Add the cogood x-node, or None when there is none."""
     _require_regular(lam, e)
-    return _shifted(lam, _cogood_row(lam, _residue_value(x, e), e), 1)
+    return _shifted(lam, _cogood_rows(lam, e)[_residue_value(x, e)], 1)
 
 
 # Row kernels: one pass over an e-regular partition (a tuple or a list;
 # unchecked), 0 for no node.  The good node is the last R that no pending A
 # above cancels, the cogood node the first A that no pending R below cancels.
 # A row's R and A differ in residue, so their order in the row never matters.
-# The walks read _cogood_rows once per vertex, a replay step _cogood_row.
 def _good_rows(lam, e: int) -> list[int]:
     """Row of the good x-node for every residue x, top down."""
     good, pending, above = [0] * e, [0] * e, 0
@@ -171,23 +170,6 @@ def _cogood_rows(lam, e: int) -> list[int]:
                 pending[x] -= 1
             else:
                 cogood[x] = row
-        row, below = row - 1, part
-    return cogood
-
-
-def _cogood_row(lam, x: int, e: int) -> int:
-    """Row of the cogood x-node, bottom up through the nodes of residue x alone."""
-    row, below, pending = len(lam), 0, 0
-    cogood = row + 1 if -row % e == x else 0
-    for part in reversed(lam):
-        shift = (part - row - x) % e  # 0 at an x-removable end, e - 1 at an x-addable one
-        if not shift and part > below:
-            pending += 1
-        elif shift == e - 1 and (row == 1 or lam[row - 2] != part):
-            if pending:
-                pending -= 1
-            else:
-                cogood = row
         row, below = row - 1, part
     return cogood
 
@@ -227,15 +209,15 @@ class ReplayError(ValueError):
     """A residue word demanded a cogood node that does not exist."""
 
 
-def _replay(word, cogood_row, modulus: int, check=None) -> Partition:
+def _replay(word, cogood_rows, modulus: int, check=None) -> Partition:
     """Grow one list of parts from empty along a residue word, at each letter
-    x by a box in row cogood_row(parts, x), which check(parts, row), if given,
-    lets go.
+    x by a box in row cogood_rows(parts)[x], which check(parts, row), if
+    given, lets go.
     A replay meets each vertex once, so it keeps no memo."""
     parts: list[int] = []
     for step, x in enumerate(word, start=1):
         x = _residue_value(x, modulus)
-        row = cogood_row(parts, x)
+        row = cogood_rows(parts)[x]
         if not row:
             raise ReplayError(f"step {step}: no cogood {x}-node on {tuple(parts)}")
         if check:
@@ -249,7 +231,7 @@ def _replay(word, cogood_row, modulus: int, check=None) -> Partition:
 def replay_path(word, e: int) -> Partition:
     """Apply cogood additions from the empty partition along a residue word."""
     _require_regular((), e)  # rejects e < 2
-    return _replay(word, lambda parts, x: _cogood_row(parts, x, e), e)
+    return _replay(word, lambda parts: _cogood_rows(parts, e), e)
 
 
 @dataclass(frozen=True)
@@ -263,20 +245,22 @@ class CrystalGraph:
         return tuple([len(level) for level in self.levels])
 
 
-def _crystal_graph(rows_of, add, modulus: int, depth: int, expected, label: str) -> CrystalGraph:
-    """Levels 0..depth grown from () by the arrows (lam, add(lam, rows_of(lam)[x]),
-    x), add giving None when there is no x-arrow: lam in lex order within a
-    level, x ascending, rows_of once per vertex.  Each level n >= 1 is checked
-    against expected(n) before the next is walked; a mismatch raises, naming
-    the level and the label."""
+def _crystal_graph(rows_of, depth: int, expected, label: str, check=None) -> CrystalGraph:
+    """Levels 0..depth grown from () by an arrow (lam, mu, x) for every
+    nonzero row of x, row in enumerate(rows_of(lam)), mu being lam plus a box
+    at the end of row, which check(lam, row), if given, lets go: lam in lex
+    order within a level, x ascending, rows_of once per vertex.  Each level
+    n >= 1 is checked against expected(n) before the next is walked; a
+    mismatch raises, naming the level and the label."""
     levels, edges = [((),)], []
     for n in range(1, depth + 1):
         seen = set()
         for lam in levels[-1]:
-            rows = rows_of(lam)
-            for x in range(modulus):
-                mu = add(lam, rows[x])
-                if mu is not None:
+            for x, row in enumerate(rows_of(lam)):
+                if row:
+                    if check:
+                        check(lam, row)
+                    mu = _shifted(lam, row, 1)
                     seen.add(mu)
                     edges.append((lam, mu, x))
         level = sorted(seen)
@@ -296,6 +280,5 @@ def enumerate_kleshchev(e: int, max_n: int) -> CrystalGraph:
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     _require_regular((), e)  # rejects e < 2
-    return _crystal_graph(lambda lam: _cogood_rows(lam, e), lambda lam, row: _shifted(lam, row, 1),
-                          e, max_n, lambda n: e_regular_partitions(n, e),
-                          f"e_regular_partitions at e={e}")
+    return _crystal_graph(lambda lam: _cogood_rows(lam, e), max_n,
+                          lambda n: e_regular_partitions(n, e), f"e_regular_partitions at e={e}")

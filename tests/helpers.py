@@ -190,7 +190,7 @@ def forbid_crystal(monkeypatch):
     def refuse(*args):
         raise AssertionError("the crystal was walked")
     monkeypatch.setattr(typea, "_crystal_graph", refuse)
-    for kernel in ("_good_rows", "_cogood_rows", "_cogood_row"):
+    for kernel in ("_good_rows", "_cogood_rows"):
         monkeypatch.setattr(typea, kernel, refuse)
 
 

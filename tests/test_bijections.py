@@ -30,10 +30,15 @@ def test_spot_values():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        distinct_to_symmetric((2, 2))
-    with pytest.raises(ValueError):
-        symmetric_to_distinct((3, 1))
+    # partitions outside the domain first, then tuples that are not
+    # partitions (zero, negative, float or rising parts): refused at the
+    # boundary, not mapped or met by an error from inside
+    for lam in ((2, 2), (3, 0), (2, -1), (2.0,), (1, 2)):
+        with pytest.raises(ValueError, match="does not have distinct parts"):
+            distinct_to_symmetric(lam)
+    for mu in ((3, 1), (2.0, 1.0), (1, 1, 0), (0,)):
+        with pytest.raises(ValueError, match="is not symmetric"):
+            symmetric_to_distinct(mu)
 
 
 @given(distinct_partitions_st)

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 
 import mullineux
 from mullineux import involution, twisted
-from mullineux.cache import Cache, _digest
-from mullineux.cli import EXIT_INTERNAL, EXIT_USAGE, MAX_BOXES, MAX_E, main
+from mullineux.cache import SCHEMA_VERSION, Cache, _digest
+from mullineux.cli import EXIT_INTERNAL, EXIT_USAGE, MAX_BOXES, MAX_E, _counts_payload, main
 from mullineux.export import _dump
 from mullineux.partitions import format_partition, partitions_of
 
@@ -357,6 +357,39 @@ def test_sizes_above_the_ceiling_are_usage_errors(args, message, capsys, tmp_pat
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--kind", "odd", "--ell", "1", "-e", "0"], "--kind odd takes no -e"),
+    (["--kind", "even", "--ell", "2", "-e", "3"], "--kind even takes no -e"),
+    (["--kind", "typea", "-e", "3", "--ell", "7"], "--kind typea takes no --ell"),
+])
+def test_crystal_export_rejects_the_parameter_its_kind_does_not_read(
+        args, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["crystal", "export", *args, "--bound", "1", "--format", "dot"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "cache").exists()
+
+
+# sha256 of the counts payload that `verify` caches, recorded with
+# SCHEMA_VERSION "v1".  The payload is never printed, so no stdout digest
+# covers it: code that changes it must bump the version with these pins.
+PINNED_COUNTS_PAYLOAD_SHA256 = {
+    (3, 12): "58fbb8274cb48769fd6bddb545f9bf3ded4d9462be44cc16738bc92dc06cd38d",
+    (4, 28): "61c0f94fe2b4e9efae9c234f04a0165758262815a38972517a2ba0281f1d1565",
+}
+
+
+@pytest.mark.parametrize("e, bound", PINNED_COUNTS_PAYLOAD_SHA256)
+def test_counts_payload_matches_its_schema_version(e, bound):
+    digest = hashlib.sha256(_counts_payload(e, bound).encode()).hexdigest()
+    assert (SCHEMA_VERSION, digest) == ("v1", PINNED_COUNTS_PAYLOAD_SHA256[e, bound]), (
+        "the counts payload or cache.SCHEMA_VERSION changed: bump SCHEMA_VERSION, "
+        "and re-record these pins and the version they name, together, so that "
+        "no entry written by older code is served")
+
+
 def test_e_at_the_ceiling_is_accepted(capsys):
     assert main(["compute", "-e", str(MAX_E), "2,1"]) == 0
     assert capsys.readouterr().out == "2,1\n"
@@ -498,6 +531,10 @@ PINNED_COMMANDS = COMMANDS + [
     ["eta", "--kind", "even", "--ell", "2", EVEN2_STAIRCASE],
     ["eta", "--kind", "odd", "--ell", "2", "--check", ODD2_500],
     ["eta", "--kind", "even", "--ell", "2", "--check", EVEN2_500],
+    # The bench-size type A export and two at larger moduli, whose arrow order
+    # is the BFS's: lam in lex order, x ascending.
+    *(["crystal", "export", "--kind", "typea", "-e", e, "--bound", bound, "--format", fmt]
+      for e, bound in (("3", "24"), ("7", "14"), ("50", "10")) for fmt in ("jsonl", "dot")),
 ]
 PINNED_STDOUT_SHA256 = {
     "compute -e 3 3,1,1":
@@ -632,6 +669,19 @@ PINNED_STDOUT_SHA256 = {
         "8b841baf7643b3d1beebf64d8d4827bbca2bd1367bffe8788bcc0bdc889e3f83",
     f"eta --kind even --ell 2 --check {EVEN2_500}":
         "b1fb9d7f3baa8dab51dbe57ea897c174a9b82e89481762a8a466c85036038f21",
+    # Recorded while the BFS took a move callback and a modulus.
+    "crystal export --kind typea -e 3 --bound 24 --format jsonl":
+        "9df8de118bd2d78364f5e37bba9bc1ac423c9c71dc58d770a3cbf28f5fbcdb8e",
+    "crystal export --kind typea -e 3 --bound 24 --format dot":
+        "eae627a56704ccdc67535f0596e907eb4eb154cb68407412f2374108cce81136",
+    "crystal export --kind typea -e 7 --bound 14 --format jsonl":
+        "980cd8e0ee45f54ae9d05075b523a21f153fbbdc0ad20fbd35576a80f80d1645",
+    "crystal export --kind typea -e 7 --bound 14 --format dot":
+        "efe0d3865808b974f64f75f8da67584e2b2f5e54653a2cda4804bb2032a21f6e",
+    "crystal export --kind typea -e 50 --bound 10 --format jsonl":
+        "d50befbcdc2fbd0caa1788487818dde69d5ccf490f5fd5e6d630bd81d153f13d",
+    "crystal export --kind typea -e 50 --bound 10 --format dot":
+        "c313a6af01a280d8c53e6ee0964d5a7af99442688752160a70d5d09c72345b11",
 }
 
 

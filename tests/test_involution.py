@@ -124,10 +124,10 @@ def report_replay(word, e):
 
 @pytest.mark.parametrize("e", range(2, 8))
 def test_list_replay_matches_the_report_route(e):
-    # replay_path grows one list of parts through the one-residue cogood
-    # scan; the reference rebuilds a cell set from the sorted, cancelled
-    # report at every step.  Words: the negated box-route words of the
-    # string-route shapes.
+    # replay_path grows one list of parts, reading the cogood row of each
+    # letter from the all-residue pass; the reference rebuilds a cell set
+    # from the sorted, cancelled report at every step.  Words: the negated
+    # box-route words of the string-route shapes.
     lams = [lam for n in range(11) for lam in e_regular_partitions(n, e)]
     lams += random_e_regular_partitions(e, 30, 40, 60, seed=e)
     for lam in lams:

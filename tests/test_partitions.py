@@ -84,6 +84,11 @@ def test_symmetric_and_distinct():
     assert is_symmetric(()) and has_distinct_parts(())
     assert not is_symmetric((3, 1))
     assert not has_distinct_parts((2, 2))
+    # only partitions: int parts, positive, weakly decreasing
+    for lam in ((3, 0), (2, -1), (2.0,), (1, 2), (0,)):
+        assert not has_distinct_parts(lam), lam
+        assert not is_e_regular(lam, 2), lam
+    assert not is_symmetric((1, 1, 0)) and not is_symmetric((1.0,))
 
 
 def test_residue_type_a():

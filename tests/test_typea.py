@@ -225,21 +225,19 @@ def test_enumerate_kleshchev_edges_are_good_node_arrows():
 
 @pytest.mark.parametrize("e", range(2, 8))
 def test_good_cogood_rows_match_signature_report(e):
-    # the good-row kernel, the all-residue cogood pass of the walks and the
-    # one-residue cogood scan of the replay, on tuples and on the lists the
-    # strip and the replay hold, against the report built by sort and
-    # cancellation: every e-regular partition to 16 boxes, every residue
+    # the good-row kernel and the cogood pass of the walks and the replay, on
+    # tuples and on the lists the strip and the replay hold, against the
+    # report built by sort and cancellation: every e-regular partition to 16
+    # boxes, every residue
     for n in range(17):
         for lam in e_regular_partitions(n, e):
             good, cogoods = typea._good_rows(lam, e), typea._cogood_rows(lam, e)
             assert typea._good_rows(list(lam), e) == good, lam
+            assert typea._cogood_rows(list(lam), e) == cogoods, lam
             for x in range(e):
                 report = signature_report(lam, x, e)
                 assert good[x] == (report.good[0] if report.good else 0), (lam, x)
-                cogood = report.cogood[0] if report.cogood else 0
-                assert cogoods[x] == cogood, (lam, x)
-                assert typea._cogood_row(lam, x, e) == cogood, (lam, x)
-                assert typea._cogood_row(list(lam), x, e) == cogood, (lam, x)
+                assert cogoods[x] == (report.cogood[0] if report.cogood else 0), (lam, x)
 
 
 @pytest.mark.parametrize("e", range(2, 8))

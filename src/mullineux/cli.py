@@ -4,9 +4,10 @@ Output is deterministic byte-for-byte for identical invocations, with or
 without a warm cache.  Exit status: 0 on success, 1 when a verification
 command finds a failure, 2 on usage errors, 3 when an internal consistency
 check fails (a bug, reported as one `internal error:` line on stderr).
-`-e` and `--ell` above MAX_E are usage errors, rejected before any work, and
-so are sizes above MAX_BOXES boxes: `-n`, `--bound`, the fixed size bound of
-`verify --max-deg` and partition literals (stripped or built box by box).
+`-e` and `--ell` above MAX_E, a negative `--bound`, crystal exports of more
+than MAX_VERTICES vertices and sizes above MAX_BOXES boxes (`-n`, `--bound`,
+the fixed size bound of `verify --max-deg`, partition literals stripped or
+built box by box) are usage errors, rejected before any work.
 """
 
 from __future__ import annotations
@@ -18,15 +19,11 @@ from functools import partial
 
 from .bijections import distinct_to_symmetric, symmetric_to_distinct
 from .cache import Cache
-from .characters import (
-    CountsTable,
-    counts_table,
-    fixed_size_bound,
-    verify_identity,
-)
+from .characters import (CountsTable, character_series, counts_table, fixed_size_bound,
+                         verify_identity)
 from .export import _dump, graph_to_dot, graph_to_jsonl
 from .folding import check_fold_relations, fold_cartan, unfold
-from .involution import fixed_set, irr_alternating_count, mullineux
+from .involution import fixed_set, irr_alternating_count, mullineux, regular_counts
 from .partitions import CrystalKind, InternalConsistencyError, format_partition, parse_partition
 from .twisted import canonical_path_twisted, enumerate_twisted
 from .typea import enumerate_kleshchev
@@ -39,6 +36,7 @@ EXIT_INTERNAL = 3
 MAX_E = 1000
 # Boxes in a partition literal, and the largest size a command may build.
 MAX_BOXES = 10_000
+MAX_VERTICES = 10 ** 6  # vertices of a crystal export, read from the level sizes
 
 
 def _kind_from(args) -> CrystalKind:
@@ -65,12 +63,21 @@ def cmd_crystal_export(args) -> int:
         if args.ell is not None:
             raise ValueError("--kind typea takes no --ell")
         param, value, build = "e", args.e, partial(enumerate_kleshchev, args.e)
+        sizes = partial(regular_counts, args.e)
     else:
         if args.ell is None:
             raise ValueError(f"--kind {args.kind} requires --ell")
         if args.e is not None:
             raise ValueError(f"--kind {args.kind} takes no -e")
         param, value, build = "ell", args.ell, partial(enumerate_twisted, _kind_from(args))
+        sizes = partial(character_series, _kind_from(args))
+    # Level sizes 0..depth, depth doubling to the bound: O(depth^2) for a small depth.
+    depth = min(1, args.bound)
+    while (total := sum(sizes(depth))) <= MAX_VERTICES and depth < args.bound:
+        depth = min(2 * depth, args.bound)
+    if total > MAX_VERTICES:
+        raise ValueError(f"--bound {args.bound}: levels 0..{depth} alone hold {total} "
+                         f"vertices, at most {MAX_VERTICES}")
     header = {"bound": args.bound, param: value, "format": "mull.crystal",
               "kind": args.kind, "version": 1}
 
@@ -217,6 +224,8 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and value > ceiling:
                 raise ValueError(f"{flag} must be at most {ceiling}, got {value}")
+        if getattr(args, "bound", 0) < 0:
+            raise ValueError(f"--bound must be non-negative, got {args.bound}")
         if hasattr(args, "partition"):
             args.partition = lam = parse_partition(args.partition)
             if sum(lam) > MAX_BOXES:

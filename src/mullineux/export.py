@@ -2,6 +2,8 @@
 
 Output is deterministic: vertices in level order (lex within a level),
 edges in generation order, JSON with sorted keys and fixed separators.
+Each vertex's text is formatted once, as the vertices are listed, and the
+edge records reuse it.
 """
 
 from __future__ import annotations
@@ -18,24 +20,21 @@ def _dump(obj) -> str:
 
 def graph_to_dot(graph: CrystalGraph) -> str:
     """DOT digraph; vertex ids are the canonical text encodings."""
-    lines = ["digraph crystal {"]
-    for level in graph.levels:
-        for lam in level:
-            lines.append(f'    "{format_partition(lam)}";')
-    for src, dst, res in graph.edges:
-        lines.append(f'    "{format_partition(src)}" -> '
-                     f'"{format_partition(dst)}" [res={res}];')
+    text = {lam: format_partition(lam) for level in graph.levels for lam in level}
+    lines = ["digraph crystal {", *[f'    "{vertex}";' for vertex in text.values()]]
+    lines += [f'    "{text[src]}" -> "{text[dst]}" [res={res}];' for src, dst, res in graph.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_jsonl(graph: CrystalGraph, header: dict) -> str:
     """Header record, one {"n","partition"} record per vertex, then the edges."""
-    lines = [_dump(header)]
+    text, lines = {}, [_dump(header)]
     for n, level in enumerate(graph.levels):
         for lam in level:
-            lines.append(_dump({"n": n, "partition": list(lam)}))
-    edges = [{"from": list(src), "res": res, "to": list(dst)}
-             for src, dst, res in graph.edges]
-    lines.append(_dump({"edges": edges}))
+            text[lam] = parts = f"[{','.join(map(str, lam))}]"
+            lines.append(f'{{"n":{n},"partition":{parts}}}')
+    edges = ",".join([f'{{"from":{text[src]},"res":{res},"to":{text[dst]}}}'
+                      for src, dst, res in graph.edges])
+    lines.append(f'{{"edges":[{edges}]}}')
     return "\n".join(lines) + "\n"

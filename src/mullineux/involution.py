@@ -189,8 +189,8 @@ def fixed_set(e: int, n: int) -> list[FixedPointRecord]:
     return [FixedPointRecord(lam, n, residue_counts(lam, e)) for lam in sorted(level)]
 
 
-def regular_count(e: int, n: int) -> int:
-    """Number of e-regular partitions of n: the q^n coefficient of
+def regular_counts(e: int, n: int) -> tuple[int, ...]:
+    """Numbers of e-regular partitions of 0..n: the coefficients of
     prod (1 - q^(ek)) / (1 - q^k) = prod over e not dividing k of 1 / (1 - q^k)."""
     if e < 2:
         raise ValueError(f"e must be at least 2, got {e}")
@@ -201,7 +201,12 @@ def regular_count(e: int, n: int) -> int:
         if k % e:
             for d in range(k, n + 1):
                 coeffs[d] += coeffs[d - k]
-    return coeffs[n]
+    return tuple(coeffs)
+
+
+def regular_count(e: int, n: int) -> int:
+    """Number of e-regular partitions of n."""
+    return regular_counts(e, n)[n]
 
 
 def irr_alternating_count(e: int, n: int) -> int:

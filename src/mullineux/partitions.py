@@ -45,7 +45,7 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(lam: Partition) -> str:
     """Inverse of parse_partition."""
-    return ",".join(str(p) for p in lam) if lam else "-"
+    return ",".join(map(str, lam)) if lam else "-"
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -224,12 +224,11 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield (first,) + rest
 
 
-def _top_down(n: int, max_drop, max_run) -> list[Partition]:
-    """The partitions of n, lex-sorted, whose every part q drops by at most
-    max_drop(q) to the next (0 past the end) and repeats at most max_run(q)
-    times; built from the top, each (part, spare repeats, left) tail once."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+def _top_down(max_drop, max_run):
+    """level(n): the partitions of n, lex-sorted, whose every part q drops by at
+    most max_drop(q) to the next (0 past the end) and repeats at most max_run(q)
+    times; built from the top, its calls sharing one memo of the (part, spare
+    repeats, left) tails.  The walks hold one per walk, so no memo outlives it."""
 
     @lru_cache(maxsize=None)
     def tails(q: int, spare: int, left: int) -> list[Partition]:
@@ -238,13 +237,22 @@ def _top_down(n: int, max_drop, max_run) -> list[Partition]:
         return [(p,) + tail
                 for p in range(max(q - max_drop(q), 1), min(q if spare else q - 1, left) + 1)
                 for tail in tails(p, spare - 1 if p == q else max_run(p) - 1, left - p)]
-    out = [(p,) + tail for p in range(1, n + 1) for tail in tails(p, max_run(p) - 1, n - p)]
-    tails.cache_clear()
-    return out if n else [()]
+
+    def level(n: int) -> list[Partition]:
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        return [(p,) + tail for p in range(1, n + 1)
+                for tail in tails(p, max_run(p) - 1, n - p)] if n else [()]
+    return level
+
+
+def _e_regular_levels(e: int):
+    """Level function of the e-regular partitions: any drop, e - 1 equal parts."""
+    if e < 2:
+        raise ValueError(f"e must be at least 2, got {e}")
+    return _top_down(lambda q: q, lambda q: e - 1)
 
 
 def e_regular_partitions(n: int, e: int) -> list[Partition]:
     """The e-regular partitions of n, sorted lexicographically."""
-    if e < 2:
-        raise ValueError(f"e must be at least 2, got {e}")
-    return _top_down(n, lambda q: q, lambda q: e - 1)
+    return _e_regular_levels(e)(n)

@@ -59,12 +59,16 @@ def in_crystal_class(lam: Partition, kind: CrystalKind) -> bool:
     return strict(lam, kind.strict_f)
 
 
-def class_partitions(n: int, kind: CrystalKind) -> list[Partition]:
-    """The class members of size n, sorted lexicographically, from the class
-    rules alone: equal neighbours only on multiples of f, each drop to the
-    next part at most bound (f odd, 2f even), less one from a multiple of f."""
+def _class_levels(kind: CrystalKind):
+    """Level function of the class rules: equal neighbours only on multiples of
+    f, drops of at most bound (f odd, 2f even), one less from a multiple of f."""
     f, bound = kind.strict_f, kind.strict_f * (1 if kind.is_odd else 2)
-    return _top_down(n, lambda q: bound - (q % f == 0), lambda q: n if q % f == 0 else 1)
+    return _top_down(lambda q: bound - (q % f == 0), lambda q: inf if q % f == 0 else 1)
+
+
+def class_partitions(n: int, kind: CrystalKind) -> list[Partition]:
+    """The class members of size n, sorted lexicographically."""
+    return _class_levels(kind)(n)
 
 
 def node_scan(lam: Partition, kind: CrystalKind) -> tuple[TwistedNode, ...]:
@@ -219,12 +223,12 @@ def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
     """Depths 0..max_depth of the twisted crystal with labeled edges.
 
     Depth equals box count since every lowering step adds one box.  Each
-    BFS level is cross-checked against class_partitions, built from the
-    class rules alone; a mismatch raises instead of being silently absorbed.
+    BFS level is checked against the walk's own level function of the class
+    rules; a mismatch raises instead of being silently absorbed.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     return _crystal_graph(lambda lam: _cogood_rows(lam, kind), max_depth,
-                          lambda n: class_partitions(n, kind),
+                          _class_levels(kind),
                           f"class_partitions at {kind.parity} ell={kind.ell}",
                           lambda lam, row: _check_move(lam, row, kind, True))

@@ -19,7 +19,7 @@ from .partitions import (
     Node,
     Partition,
     Residue,
-    e_regular_partitions,
+    _e_regular_levels,
     is_e_regular,
 )
 
@@ -274,11 +274,11 @@ def enumerate_kleshchev(e: int, max_n: int) -> CrystalGraph:
     """Levels 0..max_n of the e-good lattice with residue-labeled edges.
 
     Built by cogood addition from the empty partition; each level is checked
-    against e_regular_partitions before the next is walked, and a mismatch
-    raises: the two constructions agreeing is a signal, not an assumption.
+    against the walk's own e-regular level function before the next is
+    walked, and a mismatch raises: agreement is a signal, not an assumption.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     _require_regular((), e)  # rejects e < 2
     return _crystal_graph(lambda lam: _cogood_rows(lam, e), max_n,
-                          lambda n: e_regular_partitions(n, e), f"e_regular_partitions at e={e}")
+                          _e_regular_levels(e), f"e_regular_partitions at e={e}")

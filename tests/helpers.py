@@ -369,3 +369,35 @@ def rim_tally(a, r, e):
     for k in range(1, a % e + 1):
         tally[(k - r) % e] += 1
     return tally
+
+
+def reference_dot(graph):
+    """The DOT rendering built record by record, formatting each partition
+    wherever it appears: the reference for export.graph_to_dot."""
+    from mullineux.partitions import format_partition
+    lines = ["digraph crystal {"]
+    for level in graph.levels:
+        for lam in level:
+            lines.append(f'    "{format_partition(lam)}";')
+    for src, dst, res in graph.edges:
+        lines.append(f'    "{format_partition(src)}" -> '
+                     f'"{format_partition(dst)}" [res={res}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_jsonl(graph, header):
+    """The JSON-lines rendering with every record through json.dumps (sorted
+    keys, fixed separators): the reference for export.graph_to_jsonl."""
+    import json
+
+    def dump(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    lines = [dump(header)]
+    for n, level in enumerate(graph.levels):
+        for lam in level:
+            lines.append(dump({"n": n, "partition": list(lam)}))
+    edges = [{"from": list(src), "res": res, "to": list(dst)}
+             for src, dst, res in graph.edges]
+    lines.append(dump({"edges": edges}))
+    return "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -14,11 +15,14 @@ from helpers import distinct_odd_counts, stair
 from hypothesis import given, settings
 
 import mullineux
-from mullineux import involution, twisted
+from mullineux import cli, involution, twisted
 from mullineux.cache import SCHEMA_VERSION, Cache, _digest
-from mullineux.cli import EXIT_INTERNAL, EXIT_USAGE, MAX_BOXES, MAX_E, _counts_payload, main
+from mullineux.characters import character_series
+from mullineux.cli import (EXIT_INTERNAL, EXIT_USAGE, MAX_BOXES, MAX_E, MAX_VERTICES,
+                           _counts_payload, main)
 from mullineux.export import _dump
-from mullineux.partitions import format_partition, partitions_of
+from mullineux.involution import regular_counts
+from mullineux.partitions import CrystalKind, format_partition, partitions_of
 
 COMMANDS = [
     ["compute", "-e", "3", "3,1,1"],
@@ -370,6 +374,77 @@ def test_crystal_export_rejects_the_parameter_its_kind_does_not_read(
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "odd", "--ell", "1"],
+    ["--kind", "even", "--ell", "2"],
+    ["--kind", "typea", "-e", "3"],
+], ids=lambda args: args[1])
+def test_a_negative_bound_names_its_flag(args, capsys, tmp_path, monkeypatch):
+    # The walks name their own parameters (max_depth, max_n); the CLI names
+    # the flag, before any work.
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["crystal", "export", *args, "--bound", "-2", "--format", "jsonl"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --bound must be non-negative, got -2\n"
+    assert not (tmp_path / "cache").exists()
+
+
+def refuse_walks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"a walk started: {args}")
+    monkeypatch.setattr(cli, "enumerate_twisted", refuse)
+    monkeypatch.setattr(cli, "enumerate_kleshchev", refuse)
+
+
+@pytest.mark.parametrize("args, total, depth", [
+    (["--kind", "even", "--ell", "1"], 53_376_275, 128),
+    (["--kind", "odd", "--ell", "1"], 1_906_609, 128),
+    (["--kind", "odd", "--ell", str(MAX_E)], 53_376_275, 128),
+    (["--kind", "typea", "-e", "2"], 53_376_275, 128),
+    (["--kind", "typea", "-e", str(MAX_E)], 12_308_139, 64),
+], ids=lambda arg: " ".join(arg) if isinstance(arg, list) else str(arg))
+def test_exports_over_the_vertex_ceiling_start_no_walk(args, total, depth, capsys, tmp_path,
+                                                       monkeypatch):
+    # --bound MAX_BOXES is accepted as a size; the level sizes, read ahead
+    # with the truncation doubling, pass MAX_VERTICES long before it.  The
+    # totals count partitions of 0..depth into odd parts (even ell = 1, odd
+    # ell = MAX_E, e = 2: distinct parts), into parts +-1 mod 6 (odd ell = 1)
+    # and into any parts (e = MAX_E, far above depth).
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    refuse_walks(monkeypatch)
+    assert main(["crystal", "export", *args, "--bound", str(MAX_BOXES),
+                 "--format", "dot"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --bound {MAX_BOXES}: levels 0..{depth} alone hold "
+                            f"{total} vertices, at most {MAX_VERTICES}\n")
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("args, sizes", [
+    (["--kind", "even", "--ell", "1"], partial(character_series, CrystalKind.even(1))),
+    (["--kind", "odd", "--ell", "2"], partial(character_series, CrystalKind.odd(2))),
+    (["--kind", "typea", "-e", "3"], partial(regular_counts, 3)),
+], ids=lambda arg: " ".join(arg) if isinstance(arg, list) else "")
+@pytest.mark.parametrize("bound", [4, 9])
+def test_the_vertex_ceiling_admits_exactly_its_count(args, sizes, bound, capsys, tmp_path,
+                                                     monkeypatch):
+    # With the ceiling at the vertex count of levels 0..bound, that bound
+    # exports those vertices and bound + 1 starts no walk.  At bound 4 the
+    # doubling reads levels 0..4 on its way to 5, a total at the ceiling.
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(cli, "MAX_VERTICES", sum(sizes(bound)))
+    argv = ["crystal", "export", *args, "--format", "jsonl", "--bound"]
+    assert main([*argv, str(bound)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == sum(sizes(bound)) + 2
+    refuse_walks(monkeypatch)
+    assert main([*argv, str(bound + 1)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: --bound {bound + 1}: levels 0..{bound + 1} alone hold "
+        f"{sum(sizes(bound + 1))} vertices, at most {sum(sizes(bound))}\n")
 
 
 # sha256 of the counts payload that `verify` caches, recorded with

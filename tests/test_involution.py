@@ -33,6 +33,7 @@ from mullineux.involution import (
     mullineux,
     mullineux_map,
     regular_count,
+    regular_counts,
 )
 from mullineux.partitions import (
     InternalConsistencyError,
@@ -390,6 +391,7 @@ def test_regular_count_matches_the_enumeration():
     for e in range(2, 8):
         for n in range(31):
             assert regular_count(e, n) == len(e_regular_partitions(n, e))
+        assert regular_counts(e, 30) == tuple(regular_count(e, n) for n in range(31))
     assert regular_count(3, 200) == 22_724_322_109
     with pytest.raises(ValueError, match="e must be at least 2, got 1"):
         regular_count(1, -1)

@@ -22,6 +22,7 @@ from mullineux.partitions import (
     residue_twisted,
 )
 from mullineux.twisted import (
+    _class_levels,
     canonical_path_twisted,
     class_partitions,
     e_twisted,
@@ -222,13 +223,14 @@ def test_odd1_level_sizes():
     assert enumerate_twisted(ODD1, 6).level_sizes() == (1, 1, 1, 1, 1, 2, 2)
 
 
-def short_level_5(n, kind):
-    level = class_partitions(n, kind)
-    return level[1:] if n == 5 else level
+def short_level_5(kind):
+    # The walk's level function, with level 5 a member short.
+    levels = _class_levels(kind)
+    return lambda n: levels(n)[1:] if n == 5 else levels(n)
 
 
 def test_enumerate_twisted_cross_check_fires(monkeypatch):
-    monkeypatch.setattr(twisted, "class_partitions", short_level_5)
+    monkeypatch.setattr(twisted, "_class_levels", short_level_5)
     with pytest.raises(InternalConsistencyError) as excinfo:
         enumerate_twisted(ODD1, 6)
     assert str(excinfo.value) == (
@@ -245,7 +247,7 @@ def test_a_bad_level_stops_the_walk(monkeypatch):
         read.append(lam)
         return cogood_rows(lam, kind)
     monkeypatch.setattr(twisted, "_cogood_rows", counted)
-    monkeypatch.setattr(twisted, "class_partitions", short_level_5)
+    monkeypatch.setattr(twisted, "_class_levels", short_level_5)
     with pytest.raises(InternalConsistencyError) as excinfo:
         enumerate_twisted(ODD1, 12)
     assert str(excinfo.value) == (
@@ -313,6 +315,15 @@ def test_class_partitions_match_the_predicates(kind):
     for n in range(25):
         assert class_partitions(n, kind) == sorted(
             lam for lam in partitions_of(n) if member(lam, kind.strict_f)), n
+
+
+@pytest.mark.parametrize("kind", (EVEN1, ODD2, CrystalKind.odd(3)), ids=str)
+def test_one_class_level_function_answers_like_fresh_calls(kind):
+    # As for the e-regular levels: the walks ask one level function, whose
+    # calls share one tail memo, for every level of the bench exports' kinds.
+    levels = _class_levels(kind)
+    for n in (10, 3, 10, *range(25), *range(24, -1, -1)):
+        assert levels(n) == class_partitions(n, kind), n
 
 
 def test_class_partitions_edge_cases():

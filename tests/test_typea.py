@@ -15,6 +15,7 @@ from mullineux.partitions import (
     CrystalKind,
     InternalConsistencyError,
     Residue,
+    _e_regular_levels,
     e_regular_partitions,
     is_e_regular,
 )
@@ -202,10 +203,11 @@ def test_enumerate_kleshchev_levels():
 
 
 def test_enumerate_kleshchev_cross_check_fires(monkeypatch):
-    def short_level_4(n, e):
-        level = e_regular_partitions(n, e)
-        return level[1:] if n == 4 else level
-    monkeypatch.setattr(typea, "e_regular_partitions", short_level_4)
+    def short_level_4(e):
+        # The walk's level function, with level 4 a member short.
+        levels = _e_regular_levels(e)
+        return lambda n: levels(n)[1:] if n == 4 else levels(n)
+    monkeypatch.setattr(typea, "_e_regular_levels", short_level_4)
     with pytest.raises(InternalConsistencyError) as excinfo:
         enumerate_kleshchev(3, 6)
     assert str(excinfo.value) == (

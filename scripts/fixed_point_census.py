@@ -2,11 +2,11 @@
 """Census of Mullineux-fixed partitions.
 
 For each e, tabulates per size n: the number of e-regular partitions, the
-number of fixed points, the alternating-count formula value, and the crystal
-class whose vertices parameterize the fixed points.  The fixed points are
-counted on their Mullineux symbols' columns (`counts_table`) and #regular
-comes from its generating function, so neither walks the crystal or lists
-a partition.
+number of fixed points, the alternating-count formula value, and the size of
+the crystal class whose vertices parameterize the fixed points.  The fixed
+points are counted on their Mullineux symbols' columns (`counts_table`),
+#regular comes from its generating function and #class from the class rules
+(`_class_counts`), so the script walks no crystal and lists no partition.
 """
 
 import argparse
@@ -15,20 +15,20 @@ import time
 from mullineux.characters import counts_table
 from mullineux.involution import _alternating_count, regular_count
 from mullineux.partitions import CrystalKind
-from mullineux.twisted import class_partitions
+from mullineux.twisted import _class_counts
 
 
 def census(e, max_n):
     kind = CrystalKind.odd(e // 2) if e % 2 else CrystalKind.even(e // 2)
     print(f"\ne = {e}  (crystal: {kind.parity}, ell = {kind.ell})")
     print(f"{'n':>3} {'#regular':>9} {'#fixed':>7} {'alt-count':>10} {'#class':>7}")
-    fixed = [0] * (max_n + 1)
+    fixed, members = [0] * (max_n + 1), _class_counts(kind, max_n)
     for (n, _, _), count in counts_table(e, max_n).counts.items():
         fixed[n] += count
     for n in range(max_n + 1):
         kn = regular_count(e, n)
         alt = _alternating_count(e, n, kn, fixed[n])
-        print(f"{n:>3} {kn:>9} {fixed[n]:>7} {alt:>10} {len(class_partitions(n, kind)):>7}")
+        print(f"{n:>3} {kn:>9} {fixed[n]:>7} {alt:>10} {members[n]:>7}")
 
 
 def main():

@@ -14,7 +14,7 @@ from typing import Mapping
 
 from .involution import _fixed_tallies
 from .partitions import CrystalKind, InternalConsistencyError
-from .twisted import enumerate_twisted
+from .twisted import census_twisted
 
 
 def character_series(kind: CrystalKind, trunc: int) -> tuple[int, ...]:
@@ -70,16 +70,22 @@ def fixed_size_bound(kind: CrystalKind, max_degree: int) -> int:
     return (4 if kind.is_odd else 2) * max_degree
 
 
-def rhs_from_counts(kind: CrystalKind, n: int, table: CountsTable) -> int:
-    """Fixed-point side of the identity at degree n."""
-    total = 0
-    for m in range(n + 1):
-        for mp in range(n - m + 1):
-            if kind.is_odd:
-                total += table.count(2 * n - m + 2 * mp, m, 2 * mp)
-            else:
-                total += table.count(2 * n - m - mp, m, mp)
-    return total
+def _fixed_side(kind: CrystalKind, max_degree: int, table: CountsTable) -> list[int]:
+    """Fixed-point side of the identity at every degree n <= max_degree, in
+    one pass over the table: the sum, over 0 <= m <= n and 0 <= m' <= n - m,
+    of the count at size 2n - m + 2m', tallies (m, 2m') for the odd kind and
+    at size 2n - m - m', tallies (m, m') for the even kind.  Each entry is
+    the term of one (n, m, m'), if any, so the table must cover sizes to
+    fixed_size_bound(kind, max_degree)."""
+    sums = [0] * (max_degree + 1)
+    for (size, m, mp), count in table.counts.items():
+        twice_n = size + m - mp if kind.is_odd else size + m + mp
+        n = twice_n // 2
+        if (twice_n % 2 == 0 and 0 <= m <= n <= max_degree
+                and 0 <= mp <= (n - m) * (2 if kind.is_odd else 1)
+                and not (kind.is_odd and mp % 2)):
+            sums[n] += count
+    return sums
 
 
 @dataclass(frozen=True)
@@ -137,14 +143,9 @@ def verify_identity(kind: CrystalKind, max_degree: int, *,
         raise ValueError(
             f"counts table (e={table.e}, max_size={table.max_size}) does not "
             f"cover e={kind.e} up to size {bound}")
-    graph = enumerate_twisted(kind, max_degree)
+    census = census_twisted(kind, max_degree)
     series = character_series(kind, max_degree)
-    rows = []
-    for n in range(max_degree + 1):
-        rows.append(IdentityRow(
-            degree=n,
-            lhs=series[n],
-            rhs_counts=rhs_from_counts(kind, n, table),
-            rhs_crystal=len(graph.levels[n]),
-        ))
-    return IdentityReport(kind, max_degree, tuple(rows))
+    fixed = _fixed_side(kind, max_degree, table)
+    return IdentityReport(kind, max_degree, tuple([
+        IdentityRow(degree=n, lhs=series[n], rhs_counts=fixed[n], rhs_crystal=census[n])
+        for n in range(max_degree + 1)]))

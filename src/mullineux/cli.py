@@ -4,10 +4,11 @@ Output is deterministic byte-for-byte for identical invocations, with or
 without a warm cache.  Exit status: 0 on success, 1 when a verification
 command finds a failure, 2 on usage errors, 3 when an internal consistency
 check fails (a bug, reported as one `internal error:` line on stderr).
-`-e` and `--ell` above MAX_E, a negative `--bound`, crystal exports of more
-than MAX_VERTICES vertices and sizes above MAX_BOXES boxes (`-n`, `--bound`,
-the fixed size bound of `verify --max-deg`, partition literals stripped or
-built box by box) are usage errors, rejected before any work.
+`-e` and `--ell` above MAX_E, a negative `--bound`, crystal exports and
+verify censuses of more than MAX_VERTICES vertices and sizes above MAX_BOXES
+boxes (`-n`, `--bound`, the fixed size bound of `verify --max-deg`, partition
+literals stripped or built box by box) are usage errors, rejected before any
+work.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from .characters import (CountsTable, character_series, counts_table, fixed_size
                          verify_identity)
 from .export import _dump, graph_to_dot, graph_to_jsonl
 from .folding import check_fold_relations, fold_cartan, unfold
-from .involution import fixed_set, irr_alternating_count, mullineux, regular_counts
-from .partitions import CrystalKind, InternalConsistencyError, format_partition, parse_partition
+from .involution import fixed_set, irr_alternating_count, mullineux
+from .partitions import (CrystalKind, InternalConsistencyError, format_partition,
+                         parse_partition, regular_counts)
 from .twisted import canonical_path_twisted, enumerate_twisted
 from .typea import enumerate_kleshchev
 
@@ -36,7 +38,7 @@ EXIT_INTERNAL = 3
 MAX_E = 1000
 # Boxes in a partition literal, and the largest size a command may build.
 MAX_BOXES = 10_000
-MAX_VERTICES = 10 ** 6  # vertices of a crystal export, read from the level sizes
+MAX_VERTICES = 10 ** 6  # vertices of a crystal walk, read from the level sizes
 
 
 def _kind_from(args) -> CrystalKind:
@@ -56,6 +58,18 @@ def cmd_fixed(args) -> int:
     return EXIT_OK
 
 
+def _check_vertices(flag: str, bound: int, sizes) -> None:
+    """Raise unless levels 0..bound hold at most MAX_VERTICES vertices, read
+    from sizes(depth), the level sizes 0..depth, with depth doubling to the
+    bound: O(depth^2) for a small depth."""
+    depth = min(1, bound)
+    while (total := sum(sizes(depth))) <= MAX_VERTICES and depth < bound:
+        depth = min(2 * depth, bound)
+    if total > MAX_VERTICES:
+        raise ValueError(f"{flag} {bound}: levels 0..{depth} alone hold {total} "
+                         f"vertices, at most {MAX_VERTICES}")
+
+
 def cmd_crystal_export(args) -> int:
     if args.kind == "typea":
         if args.e is None:
@@ -71,13 +85,7 @@ def cmd_crystal_export(args) -> int:
             raise ValueError(f"--kind {args.kind} takes no -e")
         param, value, build = "ell", args.ell, partial(enumerate_twisted, _kind_from(args))
         sizes = partial(character_series, _kind_from(args))
-    # Level sizes 0..depth, depth doubling to the bound: O(depth^2) for a small depth.
-    depth = min(1, args.bound)
-    while (total := sum(sizes(depth))) <= MAX_VERTICES and depth < args.bound:
-        depth = min(2 * depth, args.bound)
-    if total > MAX_VERTICES:
-        raise ValueError(f"--bound {args.bound}: levels 0..{depth} alone hold {total} "
-                         f"vertices, at most {MAX_VERTICES}")
+    _check_vertices("--bound", args.bound, sizes)
     header = {"bound": args.bound, param: value, "format": "mull.crystal",
               "kind": args.kind, "version": 1}
 
@@ -128,11 +136,10 @@ def _counts_payload(e: int, bound: int) -> str:
 
 
 def _table_from_payload(e: int, bound: int, payload: str) -> CountsTable:
-    counts = {}
-    for line in payload.splitlines():
-        rec = json.loads(line)
-        counts[(rec["n"], rec["m"], rec["mp"])] = rec["count"]
-    return CountsTable(e, bound, counts)
+    """Parse the payload's records, one JSON object a line, in one call."""
+    records = json.loads("[" + ",".join(payload.splitlines()) + "]")
+    return CountsTable(e, bound, {(rec["n"], rec["m"], rec["mp"]): rec["count"]
+                                  for rec in records})
 
 
 def cmd_verify(args) -> int:
@@ -140,6 +147,7 @@ def cmd_verify(args) -> int:
     bound = fixed_size_bound(kind, args.max_deg)
     if bound > MAX_BOXES:
         raise ValueError(f"--max-deg {args.max_deg} needs sizes to {bound}, at most {MAX_BOXES}")
+    _check_vertices("--max-deg", args.max_deg, partial(character_series, kind))
     cache = Cache()
     payload = cache.fetch(("counts", f"e{kind.e}", f"s{bound}"),
                           lambda: _counts_payload(kind.e, bound))

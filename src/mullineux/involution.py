@@ -18,6 +18,7 @@ from .partitions import (
     InternalConsistencyError,
     Partition,
     e_regular_partitions,
+    regular_counts,
     residue_counts,
 )
 from .typea import _cogood_rows, _require_regular, _shifted, enumerate_kleshchev
@@ -187,21 +188,6 @@ def fixed_set(e: int, n: int) -> list[FixedPointRecord]:
         raise ValueError(f"n must be non-negative, got {n}")
     level = e_regular_partitions(n, 2) if e == 2 else _fixed_partitions(e, n)
     return [FixedPointRecord(lam, n, residue_counts(lam, e)) for lam in sorted(level)]
-
-
-def regular_counts(e: int, n: int) -> tuple[int, ...]:
-    """Numbers of e-regular partitions of 0..n: the coefficients of
-    prod (1 - q^(ek)) / (1 - q^k) = prod over e not dividing k of 1 / (1 - q^k)."""
-    if e < 2:
-        raise ValueError(f"e must be at least 2, got {e}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    coeffs = [1] + [0] * n
-    for k in range(1, n + 1):
-        if k % e:
-            for d in range(k, n + 1):
-                coeffs[d] += coeffs[d - k]
-    return tuple(coeffs)
 
 
 def regular_count(e: int, n: int) -> int:

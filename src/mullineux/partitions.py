@@ -224,11 +224,13 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield (first,) + rest
 
 
-def _top_down(max_drop, max_run):
-    """level(n): the partitions of n, lex-sorted, whose every part q drops by at
-    most max_drop(q) to the next (0 past the end) and repeats at most max_run(q)
-    times; built from the top, its calls sharing one memo of the (part, spare
-    repeats, left) tails.  The walks hold one per walk, so no memo outlives it."""
+def _top_down(max_drop, max_run, n: int) -> list[Partition]:
+    """The partitions of n, lex-sorted, whose every part q drops by at most
+    max_drop(q) to the next (0 past the end) and repeats at most max_run(q)
+    times; built from the top on one memo of the (part, spare repeats, left)
+    tails, which dies with the call."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
 
     @lru_cache(maxsize=None)
     def tails(q: int, spare: int, left: int) -> list[Partition]:
@@ -238,21 +240,28 @@ def _top_down(max_drop, max_run):
                 for p in range(max(q - max_drop(q), 1), min(q if spare else q - 1, left) + 1)
                 for tail in tails(p, spare - 1 if p == q else max_run(p) - 1, left - p)]
 
-    def level(n: int) -> list[Partition]:
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        return [(p,) + tail for p in range(1, n + 1)
-                for tail in tails(p, max_run(p) - 1, n - p)] if n else [()]
-    return level
-
-
-def _e_regular_levels(e: int):
-    """Level function of the e-regular partitions: any drop, e - 1 equal parts."""
-    if e < 2:
-        raise ValueError(f"e must be at least 2, got {e}")
-    return _top_down(lambda q: q, lambda q: e - 1)
+    return [(p,) + tail for p in range(1, n + 1)
+            for tail in tails(p, max_run(p) - 1, n - p)] if n else [()]
 
 
 def e_regular_partitions(n: int, e: int) -> list[Partition]:
-    """The e-regular partitions of n, sorted lexicographically."""
-    return _e_regular_levels(e)(n)
+    """The e-regular partitions of n, sorted lexicographically: any drop, at
+    most e - 1 equal parts."""
+    if e < 2:
+        raise ValueError(f"e must be at least 2, got {e}")
+    return _top_down(lambda q: q, lambda q: e - 1, n)
+
+
+def regular_counts(e: int, n: int) -> tuple[int, ...]:
+    """Numbers of e-regular partitions of 0..n: the coefficients of
+    prod (1 - q^(ek)) / (1 - q^k) = prod over e not dividing k of 1 / (1 - q^k)."""
+    if e < 2:
+        raise ValueError(f"e must be at least 2, got {e}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    coeffs = [1] + [0] * n
+    for k in range(1, n + 1):
+        if k % e:
+            for d in range(k, n + 1):
+                coeffs[d] += coeffs[d - k]
+    return tuple(coeffs)

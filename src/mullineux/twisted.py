@@ -31,7 +31,7 @@ from .partitions import (
 from .typea import (
     CrystalGraph,
     SignatureReport,
-    _crystal_graph,
+    _crystal_walk,
     _replay,
     _residue_value,
     _shifted,
@@ -59,16 +59,34 @@ def in_crystal_class(lam: Partition, kind: CrystalKind) -> bool:
     return strict(lam, kind.strict_f)
 
 
-def _class_levels(kind: CrystalKind):
-    """Level function of the class rules: equal neighbours only on multiples of
+def _class_rules(kind: CrystalKind):
+    """(max_drop, max_run) of the class: equal neighbours only on multiples of
     f, drops of at most bound (f odd, 2f even), one less from a multiple of f."""
     f, bound = kind.strict_f, kind.strict_f * (1 if kind.is_odd else 2)
-    return _top_down(lambda q: bound - (q % f == 0), lambda q: inf if q % f == 0 else 1)
+    return lambda q: bound - (q % f == 0), lambda q: inf if q % f == 0 else 1
+
+
+def _class_counts(kind: CrystalKind, depth: int) -> list[int]:
+    """Sizes of the class levels 0..depth, counted from the class rules, not
+    listed: tops[s][q] counts the members of size s with first part q, which
+    is the part alone when it may drop to 0, or followed by a member of size
+    s - q with first part p that q may drop to: q - max_drop(q) <= p < q, and
+    p = q too when q may repeat (it then may without limit)."""
+    max_drop, max_run = _class_rules(kind)
+    # The first parts p that may follow q, as a slice of a row of tops.
+    follow = [slice(max(q - max_drop(q), 1), q + (max_run(q) == inf)) for q in range(depth + 1)]
+    tops, counts = [[0]], [1]
+    for s in range(1, depth + 1):
+        row = [0] + [sum(tops[s - q][follow[q]]) for q in range(1, s + 1)]
+        row[s] += s <= max_drop(s)
+        tops.append(row)
+        counts.append(sum(row))
+    return counts
 
 
 def class_partitions(n: int, kind: CrystalKind) -> list[Partition]:
     """The class members of size n, sorted lexicographically."""
-    return _class_levels(kind)(n)
+    return _top_down(*_class_rules(kind), n)
 
 
 def node_scan(lam: Partition, kind: CrystalKind) -> tuple[TwistedNode, ...]:
@@ -115,7 +133,7 @@ def _good_rows(lam, kind: CrystalKind) -> list[int]:
     f, pattern, m = kind.strict_f, kind.column_pattern, kind.modulus
     period = len(pattern)
     good, pending, row, part, below = [0] * m, [0] * m, len(lam) + 1, 0, 0
-    for above in (*reversed(lam), lam[0] + 3 if lam else 3):
+    for above in [*reversed(lam), lam[0] + 3 if lam else 3]:
         if part - 1 > below or part - 1 == below and below % f == 0:
             x = pattern[(part - 1) % period]
             seats = 1 + (pattern[(part - 2) % period] == x and (
@@ -136,7 +154,7 @@ def _cogood_rows(lam, kind: CrystalKind) -> list[int]:
     f, pattern, m = kind.strict_f, kind.column_pattern, kind.modulus
     period = len(pattern)
     cogood, pending, row, part, below = [0] * m, [0] * m, len(lam) + 1, 0, 0
-    for above in (*reversed(lam), lam[0] + 3 if lam else 3):
+    for above in [*reversed(lam), lam[0] + 3 if lam else 3]:
         if part - 1 > below or part - 1 == below and below % f == 0:
             x = pattern[(part - 1) % period]
             pending[x] = max(pending[x] - 1 - (pattern[(part - 2) % period] == x and (
@@ -219,16 +237,31 @@ def replay_twisted(word, kind: CrystalKind) -> Partition:
                    lambda parts, row: _check_move(parts, row, kind, True))
 
 
+def _walk(kind: CrystalKind, max_depth: int):
+    """The checked walk of depths 0..max_depth, which runs as it is read."""
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
+    return _crystal_walk(lambda lam: _cogood_rows(lam, kind), max_depth,
+                         _class_counts(kind, max_depth),
+                         f"class_partitions at {kind.parity} ell={kind.ell}",
+                         lambda lam, row: _check_move(lam, row, kind, True))
+
+
 def enumerate_twisted(kind: CrystalKind, max_depth: int) -> CrystalGraph:
     """Depths 0..max_depth of the twisted crystal with labeled edges.
 
-    Depth equals box count since every lowering step adds one box.  Each
-    BFS level is checked against the walk's own level function of the class
-    rules; a mismatch raises instead of being silently absorbed.
+    Depth equals box count since every lowering step adds one box.  Every
+    arrow must stay in the class, and each BFS level must hold as many
+    vertices as the class rules count; a failure raises instead of being
+    silently absorbed.
     """
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    return _crystal_graph(lambda lam: _cogood_rows(lam, kind), max_depth,
-                          _class_levels(kind),
-                          f"class_partitions at {kind.parity} ell={kind.ell}",
-                          lambda lam, row: _check_move(lam, row, kind, True))
+    return CrystalGraph.collect(max_depth, _walk(kind, max_depth))
+
+
+def census_twisted(kind: CrystalKind, max_depth: int) -> tuple[int, ...]:
+    """enumerate_twisted(kind, max_depth).level_sizes(), from the same
+    checked walk; it keeps no arrow and drops each vertex once counted."""
+    sizes = [0] * (max_depth + 1)
+    for n, _, _ in _walk(kind, max_depth):
+        sizes[n] += 1
+    return tuple(sizes)

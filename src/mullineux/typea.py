@@ -19,8 +19,8 @@ from .partitions import (
     Node,
     Partition,
     Residue,
-    _e_regular_levels,
     is_e_regular,
+    regular_counts,
 )
 
 
@@ -241,44 +241,70 @@ class CrystalGraph:
     levels: tuple[tuple[Partition, ...], ...]
     edges: tuple[tuple[Partition, Partition, int], ...]
 
+    @classmethod
+    def collect(cls, depth: int, walk) -> "CrystalGraph":
+        """The graph of levels 0..depth from a _crystal_walk, kept whole."""
+        levels, edges = [[] for _ in range(depth + 1)], []
+        for n, lam, arrows in walk:
+            levels[n].append(lam)
+            edges += arrows
+        return cls(tuple(map(tuple, levels)), tuple(edges))
+
     def level_sizes(self) -> tuple[int, ...]:
         return tuple([len(level) for level in self.levels])
 
 
-def _crystal_graph(rows_of, depth: int, expected, label: str, check=None) -> CrystalGraph:
-    """Levels 0..depth grown from () by an arrow (lam, mu, x) for every
-    nonzero row of x, row in enumerate(rows_of(lam)), mu being lam plus a box
-    at the end of row, which check(lam, row), if given, lets go: lam in lex
-    order within a level, x ascending, rows_of once per vertex.  Each level
-    n >= 1 is checked against expected(n) before the next is walked; a
-    mismatch raises, naming the level and the label."""
-    levels, edges = [((),)], []
-    for n in range(1, depth + 1):
-        seen = set()
-        for lam in levels[-1]:
-            for x, row in enumerate(rows_of(lam)):
-                if row:
-                    if check:
+def _crystal_walk(rows_of, depth: int, counts, label: str, check):
+    """Walk levels 0..depth of a crystal grown from () and yield (n, lam,
+    arrows) for every vertex lam of level n, lam in lex order within a level.
+    arrows lists (lam, mu, x) for every nonzero row of x, row in
+    enumerate(rows_of(lam)), mu being lam plus a box at the end of row, which
+    check(lam, row) lets go only if mu stays in the class; x ascends, rows_of
+    runs once per vertex, and level depth has no arrows.  Level n + 1 is
+    then the class level exactly when it holds counts[n + 1] distinct
+    vertices: a mismatch raises, naming the level and the label, before any
+    vertex of it is yielded or walked.  The walk drops each vertex once it is
+    yielded, and each arrow names the level's own copy of mu, so what the
+    caller drops is freed."""
+    level = [()]  # in descending lex order: pop() takes the least vertex
+    for n in range(depth + 1):
+        seen = {}
+        while level:
+            lam, arrows = level.pop(), []
+            if n < depth:
+                for x, row in enumerate(rows_of(lam)):
+                    if row:
                         check(lam, row)
-                    mu = _shifted(lam, row, 1)
-                    seen.add(mu)
-                    edges.append((lam, mu, x))
-        level = sorted(seen)
-        if level != expected(n):
-            raise InternalConsistencyError(f"level {n}: reachable set differs from {label}")
-        levels.append(tuple(level))
-    return CrystalGraph(tuple(levels), tuple(edges))
+                        mu = _shifted(lam, row, 1)
+                        arrows.append((lam, seen.setdefault(mu, mu), x))
+            yield n, lam, arrows
+        if n < depth and len(seen) != counts[n + 1]:
+            raise InternalConsistencyError(f"level {n + 1}: reachable set differs from {label}")
+        level = sorted(seen, reverse=True)
+
+
+def _check_regular_move(lam: Partition, row: int, e: int) -> None:
+    """Raise unless a box added at the end of row leaves an e-regular
+    partition.  lam is one, so only the new part can break a rule: it may
+    not reach the part above it, nor the part e - 1 rows above."""
+    part = lam[row - 1] if row <= len(lam) else 0
+    if (row > len(lam) + 1 or row > 1 and lam[row - 2] == part
+            or row >= e and lam[row - e] == part + 1):
+        raise InternalConsistencyError(
+            f"cogood addition left the {e}-regular partitions: {lam} + row {row}")
 
 
 def enumerate_kleshchev(e: int, max_n: int) -> CrystalGraph:
     """Levels 0..max_n of the e-good lattice with residue-labeled edges.
 
-    Built by cogood addition from the empty partition; each level is checked
-    against the walk's own e-regular level function before the next is
-    walked, and a mismatch raises: agreement is a signal, not an assumption.
+    Built by cogood addition from the empty partition; every arrow must
+    leave an e-regular partition, and each level must hold as many vertices
+    as the e-regular generating function counts before the next is walked.
+    A failure raises: agreement is a signal, not an assumption.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     _require_regular((), e)  # rejects e < 2
-    return _crystal_graph(lambda lam: _cogood_rows(lam, e), max_n,
-                          _e_regular_levels(e), f"e_regular_partitions at e={e}")
+    return CrystalGraph.collect(max_n, _crystal_walk(
+        lambda lam: _cogood_rows(lam, e), max_n, regular_counts(e, max_n),
+        f"e_regular_partitions at e={e}", lambda lam, row: _check_regular_move(lam, row, e)))

@@ -189,7 +189,7 @@ def forbid_crystal(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("the crystal was walked")
-    monkeypatch.setattr(typea, "_crystal_graph", refuse)
+    monkeypatch.setattr(typea, "_crystal_walk", refuse)
     for kernel in ("_good_rows", "_cogood_rows"):
         monkeypatch.setattr(typea, kernel, refuse)
 
@@ -401,3 +401,17 @@ def reference_jsonl(graph, header):
              for src, dst, res in graph.edges]
     lines.append(dump({"edges": edges}))
     return "\n".join(lines) + "\n"
+
+
+def rhs_from_counts(kind, n, table):
+    """Fixed-point side of the identity at degree n, one table lookup per
+    (m, m'): the reference for the one-pass sum of every degree,
+    characters._fixed_side."""
+    total = 0
+    for m in range(n + 1):
+        for mp in range(n - m + 1):
+            if kind.is_odd:
+                total += table.count(2 * n - m + 2 * mp, m, 2 * mp)
+            else:
+                total += table.count(2 * n - m - mp, m, mp)
+    return total

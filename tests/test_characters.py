@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
-from helpers import count_partitions_with_parts, forbid_crystal
+from helpers import count_partitions_with_parts, forbid_crystal, rhs_from_counts
 
 from mullineux.characters import (
+    CountsTable,
+    _fixed_side,
     character_series,
     counts_table,
     fixed_size_bound,
-    rhs_from_counts,
     verify_identity,
 )
 from mullineux.involution import mullineux_map
@@ -64,6 +67,25 @@ def test_rhs_from_counts_small_degrees():
     table = counts_table(3, fixed_size_bound(ODD1, 2))
     assert rhs_from_counts(ODD1, 0, table) == 1
     assert rhs_from_counts(ODD1, 2, table) == 1  # the single contribution is (3,1,1)
+
+
+KINDS = [CrystalKind(parity, ell) for parity in ("odd", "even") for ell in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_fixed_side_is_the_old_sum_term_for_term(kind):
+    # The one pass over the table equals the lookups of every (m, m') at
+    # every degree, on the real table and on random entries, most of which
+    # no degree reads (off parity, or m, m' out of range).
+    bound = fixed_size_bound(kind, 20)
+    rng = random.Random(str(kind))
+    noise = {(rng.randrange(bound + 1), rng.randrange(24), rng.randrange(44)):
+             rng.randrange(1, 99) for _ in range(4000)}
+    for table in (counts_table(kind.e, bound), CountsTable(kind.e, bound, noise)):
+        expected = [rhs_from_counts(kind, n, table) for n in range(21)]
+        for max_degree in range(21):
+            assert _fixed_side(kind, max_degree, table) == expected[:max_degree + 1]
+    assert any(expected) and sum(noise.values()) > sum(expected)
 
 
 def test_verify_identity_small():

@@ -15,14 +15,13 @@ from helpers import distinct_odd_counts, stair
 from hypothesis import given, settings
 
 import mullineux
-from mullineux import cli, involution, twisted
+from mullineux import characters, cli, involution, twisted
 from mullineux.cache import SCHEMA_VERSION, Cache, _digest
 from mullineux.characters import character_series
 from mullineux.cli import (EXIT_INTERNAL, EXIT_USAGE, MAX_BOXES, MAX_E, MAX_VERTICES,
                            _counts_payload, main)
 from mullineux.export import _dump
-from mullineux.involution import regular_counts
-from mullineux.partitions import CrystalKind, format_partition, partitions_of
+from mullineux.partitions import CrystalKind, format_partition, partitions_of, regular_counts
 
 COMMANDS = [
     ["compute", "-e", "3", "3,1,1"],
@@ -445,6 +444,48 @@ def test_the_vertex_ceiling_admits_exactly_its_count(args, sizes, bound, capsys,
     assert capsys.readouterr().err == (
         f"error: --bound {bound + 1}: levels 0..{bound + 1} alone hold "
         f"{sum(sizes(bound + 1))} vertices, at most {sum(sizes(bound))}\n")
+
+
+def refuse_census(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"a census started: {args}")
+    monkeypatch.setattr(characters, "census_twisted", refuse)
+
+
+@pytest.mark.parametrize("args, total", [
+    (["--kind", "even", "--ell", "1", "--max-deg", "5000"], 53_376_275),
+    (["--kind", "odd", "--ell", "1", "--max-deg", "2500"], 1_906_609),
+], ids=lambda arg: " ".join(arg) if isinstance(arg, list) else str(arg))
+def test_verifies_over_the_vertex_ceiling_start_no_walk(args, total, capsys, tmp_path,
+                                                         monkeypatch):
+    # Both fixed size bounds are 10,000 boxes, MAX_BOXES; the series, read
+    # ahead as for exports, passes MAX_VERTICES at degree 128, before the
+    # counts table is built or cached and before the census walks.
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    refuse_census(monkeypatch)
+    assert main(["verify", *args]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --max-deg {args[-1]}: levels 0..128 alone hold "
+                            f"{total} vertices, at most {MAX_VERTICES}\n")
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("kind", [CrystalKind.even(1), CrystalKind.odd(2)], ids=str)
+@pytest.mark.parametrize("degree", [4, 9])
+def test_the_verify_ceiling_admits_exactly_its_count(kind, degree, capsys, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(cli, "MAX_VERTICES", sum(character_series(kind, degree)))
+    argv = ["verify", "--kind", kind.parity, "--ell", str(kind.ell), "--json", "--max-deg"]
+    assert main([*argv, str(degree)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    refuse_census(monkeypatch)
+    assert main([*argv, str(degree + 1)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: --max-deg {degree + 1}: levels 0..{degree + 1} alone hold "
+        f"{sum(character_series(kind, degree + 1))} vertices, at most "
+        f"{sum(character_series(kind, degree))}\n")
 
 
 # sha256 of the counts payload that `verify` caches, recorded with

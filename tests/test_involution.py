@@ -33,12 +33,12 @@ from mullineux.involution import (
     mullineux,
     mullineux_map,
     regular_count,
-    regular_counts,
 )
 from mullineux.partitions import (
     InternalConsistencyError,
     conjugate,
     e_regular_partitions,
+    regular_counts,
     residue_counts,
 )
 from mullineux.typea import (

@@ -7,7 +7,6 @@ from helpers import all_partitions, conjugate_by_columns, diagram
 from mullineux.partitions import (
     CrystalKind,
     Residue,
-    _e_regular_levels,
     conjugate,
     e_regular_partitions,
     format_partition,
@@ -166,15 +165,6 @@ def test_e_regular_partitions_match_the_filter(e):
     for n in range(21):
         assert e_regular_partitions(n, e) == sorted(
             lam for lam in partitions_of(n) if is_e_regular(lam, e)), (n, e)
-
-
-@pytest.mark.parametrize("e", range(2, 8))
-def test_one_level_function_answers_like_fresh_calls(e):
-    # The walks ask one level function, whose calls share one tail memo, for
-    # every level; asked out of order or again, it answers like a fresh call.
-    levels = _e_regular_levels(e)
-    for n in (10, 3, 10, *range(21), *range(20, -1, -1)):
-        assert levels(n) == e_regular_partitions(n, e), (n, e)
 
 
 def test_e_regular_partitions_edge_cases():

@@ -22,8 +22,9 @@ from mullineux.partitions import (
     residue_twisted,
 )
 from mullineux.twisted import (
-    _class_levels,
+    _class_counts,
     canonical_path_twisted,
+    census_twisted,
     class_partitions,
     e_twisted,
     enumerate_twisted,
@@ -223,14 +224,14 @@ def test_odd1_level_sizes():
     assert enumerate_twisted(ODD1, 6).level_sizes() == (1, 1, 1, 1, 1, 2, 2)
 
 
-def short_level_5(kind):
-    # The walk's level function, with level 5 a member short.
-    levels = _class_levels(kind)
-    return lambda n: levels(n)[1:] if n == 5 else levels(n)
+def short_level_5(kind, depth):
+    # The walk's level counts, with level 5 a member short.
+    counts = _class_counts(kind, depth)
+    return [count - (n == 5) for n, count in enumerate(counts)]
 
 
 def test_enumerate_twisted_cross_check_fires(monkeypatch):
-    monkeypatch.setattr(twisted, "_class_levels", short_level_5)
+    monkeypatch.setattr(twisted, "_class_counts", short_level_5)
     with pytest.raises(InternalConsistencyError) as excinfo:
         enumerate_twisted(ODD1, 6)
     assert str(excinfo.value) == (
@@ -247,7 +248,7 @@ def test_a_bad_level_stops_the_walk(monkeypatch):
         read.append(lam)
         return cogood_rows(lam, kind)
     monkeypatch.setattr(twisted, "_cogood_rows", counted)
-    monkeypatch.setattr(twisted, "_class_levels", short_level_5)
+    monkeypatch.setattr(twisted, "_class_counts", short_level_5)
     with pytest.raises(InternalConsistencyError) as excinfo:
         enumerate_twisted(ODD1, 12)
     assert str(excinfo.value) == (
@@ -311,19 +312,30 @@ def test_moved_raises_exactly_when_the_class_is_left(kind):
 @pytest.mark.parametrize("kind", [CrystalKind(parity, ell) for parity in ("odd", "even")
                                   for ell in (1, 2, 3)], ids=str)
 def test_class_partitions_match_the_predicates(kind):
+    # The listing, filtered from all partitions, is the reference for the
+    # count of the walks' level check.
     member = is_restricted_strict if kind.is_odd else is_double_restricted_strict
-    for n in range(25):
+    for n in range(26):
         assert class_partitions(n, kind) == sorted(
             lam for lam in partitions_of(n) if member(lam, kind.strict_f)), n
+    assert _class_counts(kind, 25) == [len(class_partitions(n, kind)) for n in range(26)]
+    assert _class_counts(kind, 0) == [1]
 
 
-@pytest.mark.parametrize("kind", (EVEN1, ODD2, CrystalKind.odd(3)), ids=str)
-def test_one_class_level_function_answers_like_fresh_calls(kind):
-    # As for the e-regular levels: the walks ask one level function, whose
-    # calls share one tail memo, for every level of the bench exports' kinds.
-    levels = _class_levels(kind)
-    for n in (10, 3, 10, *range(25), *range(24, -1, -1)):
-        assert levels(n) == class_partitions(n, kind), n
+@pytest.mark.parametrize("kind", SMALL_KINDS + (CrystalKind.odd(3), CrystalKind.even(3)), ids=str)
+def test_census_is_the_level_sizes_of_the_walk(kind):
+    for depth in (0, 1, 18):
+        assert census_twisted(kind, depth) == enumerate_twisted(kind, depth).level_sizes()
+    with pytest.raises(ValueError, match="max_depth must be non-negative, got -1"):
+        census_twisted(kind, -1)
+
+
+def test_census_checks_its_levels(monkeypatch):
+    monkeypatch.setattr(twisted, "_class_counts", short_level_5)
+    assert census_twisted(ODD1, 4) == (1, 1, 1, 1, 1)
+    with pytest.raises(InternalConsistencyError,
+                       match="level 5: reachable set differs from class_partitions at odd ell=1"):
+        census_twisted(ODD1, 6)
 
 
 def test_class_partitions_edge_cases():

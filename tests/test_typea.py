@@ -15,9 +15,9 @@ from mullineux.partitions import (
     CrystalKind,
     InternalConsistencyError,
     Residue,
-    _e_regular_levels,
     e_regular_partitions,
     is_e_regular,
+    regular_counts,
 )
 from mullineux.twisted import replay_twisted
 from mullineux.typea import (
@@ -203,15 +203,50 @@ def test_enumerate_kleshchev_levels():
 
 
 def test_enumerate_kleshchev_cross_check_fires(monkeypatch):
-    def short_level_4(e):
-        # The walk's level function, with level 4 a member short.
-        levels = _e_regular_levels(e)
-        return lambda n: levels(n)[1:] if n == 4 else levels(n)
-    monkeypatch.setattr(typea, "_e_regular_levels", short_level_4)
+    def short_level_4(e, n):
+        # The walk's level counts, with level 4 a member short.
+        return tuple(count - (d == 4) for d, count in enumerate(regular_counts(e, n)))
+    monkeypatch.setattr(typea, "regular_counts", short_level_4)
     with pytest.raises(InternalConsistencyError) as excinfo:
         enumerate_kleshchev(3, 6)
     assert str(excinfo.value) == (
         "level 4: reachable set differs from e_regular_partitions at e=3")
+
+
+@pytest.mark.parametrize("row", [2, 3])
+def test_a_planted_kernel_is_stopped_by_the_regular_guard(row, monkeypatch):
+    # At e = 3 the walk reaches (1, 1) on level 2.  A box at the end of row 2
+    # leaves no partition, one in row 3 the 3-irregular (1, 1, 1); a kernel
+    # that names either row is stopped at that arrow, by the guard.
+    cogood_rows = typea._cogood_rows
+
+    def planted(lam, e):
+        rows = cogood_rows(lam, e)
+        if lam == (1, 1):
+            rows[0] = row
+        return rows
+    monkeypatch.setattr(typea, "_cogood_rows", planted)
+    with pytest.raises(InternalConsistencyError) as excinfo:
+        enumerate_kleshchev(3, 4)
+    assert str(excinfo.value) == (
+        f"cogood addition left the 3-regular partitions: (1, 1) + row {row}")
+
+
+@pytest.mark.parametrize("e", range(2, 6))
+def test_the_regular_guard_raises_exactly_when_the_class_is_left(e):
+    # the guard reads the part above and the part e - 1 rows above; the
+    # diagram it builds, from cells, must be e-regular exactly when it does
+    # not raise
+    for n in range(11):
+        for lam in e_regular_partitions(n, e):
+            for row in range(1, len(lam) + 3):
+                end = lam[row - 1] if row <= len(lam) else 0
+                mu = from_diagram(diagram(lam) | {(row, end + 1)})
+                if mu is not None and is_e_regular(mu, e):
+                    typea._check_regular_move(lam, row, e)
+                else:
+                    with pytest.raises(InternalConsistencyError, match="left the"):
+                        typea._check_regular_move(lam, row, e)
 
 
 def test_enumerate_kleshchev_edges_are_good_node_arrows():

@@ -1,10 +1,10 @@
-"""Content-checked on-disk cache for enumeration payloads.
+"""Content-checked on-disk cache for the counts payload of `verify`.
 
 Purely an optimization: entries are keyed by the generating command's
 parameters, written atomically (temp file in the same directory, then
-rename), and checksum-verified on read.  Anything unreadable or stale is
-treated as a miss and regenerated, so the directory is always safe to
-delete.  The location comes from MULLINEUX_CACHE_DIR, defaulting to
+rename), and checksum-verified on read.  Anything unreadable, malformed or
+stale is a miss that the caller regenerates, so the directory is always safe
+to delete.  The location comes from MULLINEUX_CACHE_DIR, defaulting to
 .mullineux-cache/ in the working directory.
 """
 
@@ -15,7 +15,6 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable
 
 ENV_VAR = "MULLINEUX_CACHE_DIR"
 DEFAULT_DIR = ".mullineux-cache"
@@ -44,7 +43,7 @@ class Cache:
             blob = json.loads(self._path(key).read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
-        payload = blob.get("payload")
+        payload = blob.get("payload") if isinstance(blob, dict) else None
         if not isinstance(payload, str):
             return None
         if blob.get("key") != [str(part) for part in key]:
@@ -67,11 +66,3 @@ class Cache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-
-    def fetch(self, key: tuple, build: Callable[[], str]) -> str:
-        """Return the cached payload, building and storing it on a miss."""
-        payload = self.get(key)
-        if payload is None:
-            payload = build()
-            self.put(key, payload)
-        return payload

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .involution import _fixed_tallies
-from .partitions import CrystalKind, InternalConsistencyError
+from .partitions import CrystalKind, InternalConsistencyError, _euler_product
 from .twisted import census_twisted
 
 
@@ -24,14 +24,8 @@ def character_series(kind: CrystalKind, trunc: int) -> tuple[int, ...]:
     """
     if trunc < 0:
         raise ValueError(f"trunc must be non-negative, got {trunc}")
-    coeffs = [0] * (trunc + 1)
-    coeffs[0] = 1
-    for i in range(1, trunc + 1, 2):
-        if kind.is_odd and i % kind.e == 0:
-            continue
-        for d in range(i, trunc + 1):
-            coeffs[d] += coeffs[d - i]
-    return tuple(coeffs)
+    return _euler_product((i for i in range(1, trunc + 1, 2)
+                           if not (kind.is_odd and i % kind.e == 0)), trunc)
 
 
 @dataclass(frozen=True)

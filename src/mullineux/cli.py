@@ -1,8 +1,9 @@
 """Command-line front end (`mull`).
 
-Output is deterministic byte-for-byte for identical invocations, with or
-without a warm cache.  Exit status: 0 on success, 1 when a verification
-command finds a failure, 2 on usage errors, 3 when an internal consistency
+Output is deterministic byte-for-byte for identical invocations; only
+`verify` caches (its counts table), with the same output cold or warm.
+Exit status: 0 on success, 1 when a verification command finds a failure,
+2 on usage errors and an unwritable cache, 3 when an internal consistency
 check fails (a bug, reported as one `internal error:` line on stderr).
 `-e` and `--ell` above MAX_E, a negative `--bound`, crystal exports and
 verify censuses of more than MAX_VERTICES vertices and sizes above MAX_BOXES
@@ -19,7 +20,7 @@ import sys
 from functools import partial
 
 from .bijections import distinct_to_symmetric, symmetric_to_distinct
-from .cache import Cache
+from .cache import ENV_VAR, Cache
 from .characters import (CountsTable, character_series, counts_table, fixed_size_bound,
                          verify_identity)
 from .export import _dump, graph_to_dot, graph_to_jsonl
@@ -86,15 +87,10 @@ def cmd_crystal_export(args) -> int:
         param, value, build = "ell", args.ell, partial(enumerate_twisted, _kind_from(args))
         sizes = partial(character_series, _kind_from(args))
     _check_vertices("--bound", args.bound, sizes)
-    header = {"bound": args.bound, param: value, "format": "mull.crystal",
-              "kind": args.kind, "version": 1}
-
-    def payload() -> str:
-        graph = build(args.bound)
-        return graph_to_dot(graph) if args.format == "dot" else graph_to_jsonl(graph, header)
-
-    sys.stdout.write(Cache().fetch(
-        ("export", args.kind, f"{param}{value}", f"b{args.bound}", args.format), payload))
+    graph = build(args.bound)
+    sys.stdout.write(graph_to_dot(graph) if args.format == "dot" else graph_to_jsonl(
+        graph, {"bound": args.bound, param: value, "format": "mull.crystal",
+                "kind": args.kind, "version": 1}))
     return EXIT_OK
 
 
@@ -148,9 +144,14 @@ def cmd_verify(args) -> int:
     if bound > MAX_BOXES:
         raise ValueError(f"--max-deg {args.max_deg} needs sizes to {bound}, at most {MAX_BOXES}")
     _check_vertices("--max-deg", args.max_deg, partial(character_series, kind))
-    cache = Cache()
-    payload = cache.fetch(("counts", f"e{kind.e}", f"s{bound}"),
-                          lambda: _counts_payload(kind.e, bound))
+    cache, key = Cache(), ("counts", f"e{kind.e}", f"s{bound}")
+    if (payload := cache.get(key)) is None:
+        payload = _counts_payload(kind.e, bound)
+        try:
+            cache.put(key, payload)
+        except OSError as exc:  # caught here: in main it could be a broken stdout
+            raise ValueError(f"cannot write the cache in {str(cache.root)!r} "
+                             f"(set {ENV_VAR}): {exc.strerror or exc}") from exc
     table = _table_from_payload(kind.e, bound, payload)
     report = verify_identity(kind, args.max_deg, table=table)
     if args.json:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import inf
-from typing import Iterator
+from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
 Node = tuple[int, int]
@@ -37,6 +37,10 @@ def parse_partition(text: str) -> Partition:
     if text == "-":
         return ()
     try:
+        # ASCII digits and commas only: int() alone would also read "1_0",
+        # "+3", " 3" and non-ASCII digits.  An empty part fails in int().
+        if not (text.isascii() and text.replace(",", "").isdigit()):
+            raise ValueError("not ASCII digits between commas")
         parts = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"malformed partition literal: {text!r}") from exc
@@ -252,6 +256,15 @@ def e_regular_partitions(n: int, e: int) -> list[Partition]:
     return _top_down(lambda q: q, lambda q: e - 1, n)
 
 
+def _euler_product(exponents: Iterable[int], n: int) -> tuple[int, ...]:
+    """Coefficients of q^0..q^n in prod over k in exponents of 1 / (1 - q^k)."""
+    coeffs = [1] + [0] * n
+    for k in exponents:
+        for d in range(k, n + 1):
+            coeffs[d] += coeffs[d - k]
+    return tuple(coeffs)
+
+
 def regular_counts(e: int, n: int) -> tuple[int, ...]:
     """Numbers of e-regular partitions of 0..n: the coefficients of
     prod (1 - q^(ek)) / (1 - q^k) = prod over e not dividing k of 1 / (1 - q^k)."""
@@ -259,9 +272,4 @@ def regular_counts(e: int, n: int) -> tuple[int, ...]:
         raise ValueError(f"e must be at least 2, got {e}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    coeffs = [1] + [0] * n
-    for k in range(1, n + 1):
-        if k % e:
-            for d in range(k, n + 1):
-                coeffs[d] += coeffs[d - k]
-    return tuple(coeffs)
+    return _euler_product((k for k in range(1, n + 1) if k % e), n)

@@ -239,8 +239,8 @@ def test_c9_alternating_count():
 
 
 def test_c10_cli_determinism(tmp_path):
-    with criterion(10, "every CLI command is byte-identical across runs and "
-                       "cache-cold/cache-warm executions"):
+    with criterion(10, "every CLI command is byte-identical across runs, and verify "
+                       "across cache-cold/cache-warm executions"):
         for args in COMMANDS:
             cold = run_cli(args, tmp_path)
             assert cold.returncode == 0, (args, cold.stderr)

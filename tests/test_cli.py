@@ -147,6 +147,9 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     # malformed literal
     assert main(["compute", "-e", "3", "3,4"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a literal int() would read as 10
+    assert main(["compute", "-e", "3", "1_0"]) == 2
+    assert capsys.readouterr() == ("", "error: malformed partition literal: '1_0'\n")
     # partition outside the command's domain
     assert main(["compute", "-e", "3", "1,1,1"]) == 2
     capsys.readouterr()
@@ -182,6 +185,9 @@ def test_jsonl_export_shape(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: " ".join(a))
 def test_byte_identical_across_runs_and_cache_states(args, tmp_path):
+    # Two runs with one cache directory: for verify the second reads the
+    # counts entry the first wrote (a warm run); every other command caches
+    # nothing, so its second run recomputes.
     cold = run_cli(args, tmp_path)
     assert cold.returncode == 0, cold.stderr
     warm = run_cli(args, tmp_path)
@@ -197,7 +203,73 @@ def test_cache_corruption_is_a_miss(tmp_path):
     path = cache._path(("fixed", "e3", "n5"))
     path.write_text(path.read_text().replace("payload", "tampered"))
     assert cache.get(("fixed", "e3", "n5")) is None
-    assert cache.fetch(("fixed", "e3", "n5"), lambda: "rebuilt") == "rebuilt"
+    cache.put(("fixed", "e3", "n5"), "rebuilt")
+    assert cache.get(("fixed", "e3", "n5")) == "rebuilt"
+
+
+@pytest.mark.parametrize("text", ["[]", "1", '"x"', "null"])
+def test_a_cache_entry_that_is_not_an_object_is_a_miss(text, capsys, tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    root.mkdir()
+    (root / f"{SCHEMA_VERSION}-counts-e3-s4.json").write_text(text)
+    assert Cache(root).get(("counts", "e3", "s4")) is None
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(root))
+    assert main(["verify", "--kind", "odd", "--ell", "1", "--max-deg", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "degree lhs rhs-from-counts rhs-from-crystal status\n"
+        "0 1 1 1 ok\n"
+        "1 1 1 1 ok\n"
+        "PASS\n")
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a file", "under a file"])
+def test_an_unwritable_cache_is_a_usage_error(under, capsys, tmp_path, monkeypatch):
+    # Exit 1 would read as a failed verification and exit 3 as a bug.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    root = blocker / under if under else blocker
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(root))
+    assert main(["verify", "--kind", "odd", "--ell", "1", "--max-deg", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: cannot write the cache in ")
+    assert str(root) in line and "MULLINEUX_CACHE_DIR" in line
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "typea", "-e", "3"],
+    ["--kind", "odd", "--ell", "1"],
+    ["--kind", "even", "--ell", "2"],
+], ids=lambda args: args[1])
+@pytest.mark.parametrize("fmt", ["dot", "jsonl"])
+def test_crystal_export_writes_no_cache(args, fmt, capsys, tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(root))
+    for _ in range(2):
+        assert main(["crystal", "export", *args, "--bound", "4", "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        assert not root.exists() or not any(root.iterdir())
+
+
+def test_a_planted_export_entry_is_never_printed(capsys, tmp_path, monkeypatch):
+    # Exports were once cached under this key; such an entry, checksum-valid
+    # with a wrong payload, must not stand in for the export.
+    argv = ["crystal", "export", "--kind", "odd", "--ell", "1", "--bound", "4",
+            "--format", "jsonl"]
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "empty"))
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    root = tmp_path / "cache"
+    root.mkdir()
+    key, wrong = ["export", "odd", "ell1", "b4", "jsonl"], '{"wrong": true}\n'
+    (root / "v1-export-odd-ell1-b4-jsonl.json").write_text(json.dumps(
+        {"key": key, "sha256": _digest(wrong), "payload": wrong}))
+    assert Cache(root).get(tuple(key)) == wrong
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(root))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected != wrong
 
 
 def test_fixed_rejects_e_below_two_and_caches_nothing(capsys, tmp_path, monkeypatch):

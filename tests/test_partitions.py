@@ -30,7 +30,8 @@ def test_parse_format_roundtrip():
 
 
 def test_parse_rejects_garbage():
-    for text in ("2,3", "0", "a,b", "1,", ""):
+    # int() reads the last six as 10, 3, 3, 3, (3, 1) and (3, 1): none is canonical.
+    for text in ("2,3", "0", "a,b", "1,", "", "1_0", "+3", "\u0663", "\uff13", "3 ,1", "3, 1"):
         with pytest.raises(ValueError):
             parse_partition(text)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .involution import _column_parent, _fixed_symbol_columns
+from .involution import _fixed_symbol_columns, _from_columns
 from .partitions import (
     CrystalKind,
     InternalConsistencyError,
@@ -99,10 +99,7 @@ def unfold(lam: Partition, kind: CrystalKind) -> Partition:
     """
     _require_class(lam, kind)
     columns = list(islice(_fixed_symbol_columns(kind.e), lam[0] if lam else 0))
-    image = ()
-    for part in reversed(lam):
-        image = _column_parent(image, *columns[part - 1], kind.e)
-    return image
+    return _from_columns([columns[part - 1] for part in reversed(lam)], kind.e)
 
 
 @dataclass(frozen=True)

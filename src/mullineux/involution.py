@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from operator import sub
 from typing import Iterator
 
 from .partitions import (
@@ -26,18 +27,13 @@ from .typea import _cogood_rows, _require_regular, _shifted, enumerate_kleshchev
 
 def mullineux(lam: Partition, e: int) -> Partition:
     """Image of lam under the Mullineux involution: peel e-rims into symbol
-    columns (a, r), then rebuild, last column first, the rim parent of each
-    (a, a - r + eps)."""
+    columns (a, r), then rebuild the mapped ones (a - r + eps, a), last first."""
     _require_regular(lam, e)
-    columns = []
-    while lam:
-        rows = len(lam)
-        lam, a = _peel_rim(lam, e)
-        columns.append((a, rows))
-    image = ()
-    for a, r in reversed(columns):
-        image = _column_parent(image, a - r + (a % e != 0), a, e)
-    return image
+    parts, columns = list(lam), []
+    while parts:
+        rows, a = len(parts), _peel_rim(parts, e)
+        columns.append((a - rows + (a % e != 0), a))
+    return _from_columns(columns[::-1], e)
 
 
 def mullineux_map(e: int, max_n: int) -> dict[Partition, Partition]:
@@ -66,52 +62,65 @@ class FixedPointRecord:
     residue_profile: tuple[int, ...]
 
 
-def _peel_rim(lam: Partition, e: int) -> tuple[Partition, int]:
-    """lam with its e-rim removed, and the rim's size.  Top down, a segment
-    enters each row at its last node and takes min(row rim, e - used) nodes;
-    the row rim runs to the column of the next part, or to column 1 on the
-    last row.  A full segment ends, and the next starts on the row below."""
-    mu, used = [], 0
-    for part, below in zip(lam, (*lam[1:], 1)):
-        take = min(part - below + 1, e - used)
-        mu.append(part - take)
-        used = (used + take) % e
-    # tuple() of a list, here and in _rim_parent: of a generator it grows by
-    # resizing, and each dead short tuple then adds to CPython's free lists.
-    return tuple([part for part in mu if part]), sum(lam) - sum(mu)
+def _peel_rim(parts: list[int], e: int) -> int:
+    """Remove the e-rim of the partition in parts, in place; return its size.
+    Top down, a segment enters each row at its last node and takes the row rim
+    (to the column of the next part, or of the 1 appended), or, if no fewer,
+    the left nodes it lacks of e and ends: the next starts on the row below."""
+    size, left = 0, e
+    parts.append(1)
+    for t in range(len(parts) - 1):
+        take = parts[t] - parts[t + 1] + 1
+        if take < left:
+            left -= take
+        else:
+            take, left = left, e
+        parts[t] -= take
+        size += take
+    del parts[parts.index(0) if 0 in parts else -1:]  # emptied rows end it, or the 1
+    return size
 
 
-def _rim_parent(mu: Partition, r: int, a: int, e: int) -> Partition | None:
-    """The e-regular lam with r rows whose e-rim has a nodes and leaves mu, or
-    None (the symbol determines lam, so there is at most one).  Bottom up on
-    the beta numbers h_j = mu_j - j of mu padded to r rows: the segment ending
-    on row j moves h_j up by its size (e, or a % e for a short last segment,
-    which must empty the last row) to row i, the number of beads >= the new
-    value.  It starts there, so the segment above ends on row i - 1 and moves
-    the bead there, an equal one included, away."""
-    if r < len(mu) or (a % e and len(mu) == r):
-        return None
-    beads = [part - j for j, part in enumerate(mu + (0,) * (r - len(mu)))]
-    j, size = r - 1, a % e or e
-    for _ in range(a // e + (a % e > 0)):
+def _add_rim(beads: list[int], r: int, a: int, e: int) -> bool:
+    """Turn mu's beta numbers h_j = mu_j - j, in place, into those of the
+    e-regular lam of r rows whose a-node e-rim leaves mu, if any (the symbol
+    determines lam); False spoils beads.  Bottom up on r padded rows, the
+    segment ending on row j moves h_j up by its size (e, or a % e last: it must
+    empty the last row) to row i, the number of beads >= it, and starts there;
+    the one above ends on row i - 1 and moves the bead there, even an equal one."""
+    n, short = len(beads), a % e
+    if r < n or (short and n == r):
+        return False
+    beads += range(-n, -r, -1)
+    j, size = r - 1, short or e
+    for _ in range(-(-a // e)):
         if j < 0:
-            return None
-        h, i = beads[j] + size, j
-        while i and beads[i - 1] < h:
-            i -= 1
-        beads[i + 1:j + 1], beads[i] = beads[i:j], h
-        j, size = i - 1, e
-    if j >= 0:
-        return None
-    lam = tuple([h + t for t, h in enumerate(beads)])
-    return None if any(lam[t] == lam[t + e - 1] for t in range(r - e + 1)) else lam
+            return False
+        h = beads.pop(j) + size
+        while j and beads[j - 1] < h:
+            j -= 1
+        beads.insert(j, h)
+        j, size = j - 1, e
+    # e equal parts lam_t = lam_{t+e-1} read h_t - h_{t+e-1} = e - 1.
+    return j < 0 and (r < e or e - 1 not in map(sub, beads, beads[e - 1:]))
 
 
-def _column_parent(mu: Partition, r: int, a: int, e: int) -> Partition:
-    lam = _rim_parent(mu, r, a, e)
-    if lam is not None:
-        return lam
-    raise InternalConsistencyError(f"symbol column ({a}, {r}) has no rim parent of {mu} (e={e})")
+def _from_columns(columns: list[tuple[int, int]], e: int) -> Partition:
+    """The partition with symbol columns (r, a), innermost first, each the
+    e-rim parent of the one inside, rebuilt on one bead list."""
+    beads: list[int] = []
+    for k, (r, a) in enumerate(columns):
+        if not _add_rim(beads, r, a, e):
+            raise _no_rim_parent(_from_columns(columns[:k], e), r, a, e)
+    return _unbead(beads)
+
+
+def _unbead(beads: list[int]) -> Partition:
+    return tuple([h + t for t, h in enumerate(beads)])
+
+
+def _no_rim_parent(mu: Partition, r: int, a: int, e: int) -> InternalConsistencyError:
+    return InternalConsistencyError(f"symbol column ({a}, {r}) has no rim parent of {mu} (e={e})")
 
 
 def _fixed_symbol_columns(e: int) -> Iterator[tuple[int, int]]:
@@ -169,16 +178,18 @@ def _fixed_partitions(e: int, n: int) -> list[Partition]:
     for left in range(1, n + 1):
         for r, fill in enumerate(fills):
             fill[left] = any(a <= left and fills[rows][left - a] for rows, a, *_ in columns[r])
-    level, stack = [], [((), 0, n)]
+    level, stack = [], [([], 0, n)]
     while stack:
-        mu, r, left = stack.pop()
+        beads, r, left = stack.pop()
         if not left:
-            level.append(mu)
+            level.append(_unbead(beads))
         for rows, a, *_ in columns[r]:
             if a > left:
                 break
             if fills[rows][left - a]:
-                stack.append((_column_parent(mu, rows, a, e), rows, left - a))
+                if not _add_rim(lam := beads.copy(), rows, a, e):
+                    raise _no_rim_parent(_unbead(beads), rows, a, e)
+                stack.append((lam, rows, left - a))
     return level
 
 

@@ -38,10 +38,12 @@ def parse_partition(text: str) -> Partition:
         return ()
     try:
         # ASCII digits and commas only: int() alone would also read "1_0",
-        # "+3", " 3" and non-ASCII digits.  An empty part fails in int().
+        # "+3", " 3", "03" and non-ASCII digits.  An empty part fails in int().
         if not (text.isascii() and text.replace(",", "").isdigit()):
             raise ValueError("not ASCII digits between commas")
         parts = [int(tok) for tok in text.split(",")]
+        if ",0" in "," + text and ",".join(map(str, parts)) != text:
+            raise ValueError("a part with a leading zero")
     except ValueError as exc:
         raise ValueError(f"malformed partition literal: {text!r}") from exc
     return check_partition(parts)

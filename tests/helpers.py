@@ -290,15 +290,13 @@ def fixed_levels(e, max_n):
     dividing a) or 2r (e dividing a) nodes, and r <= len(mu) + e, as rows past
     len(mu) + 1 are 1s: each level is the rim parents of the smaller ones,
     tried for every (mu, r, a) that fits."""
-    from mullineux.involution import _rim_parent
-
     levels = [[()]] + [[] for _ in range(max_n)]
     for size, level in enumerate(levels):
         for mu in level:
             for r in range(max(len(mu), 1), min(len(mu) + e, (max_n - size + 1) // 2) + 1):
                 for a in (2 * r - 1, 2 * r):
                     if size + a <= max_n and (a % e == 0) == (a % 2 == 0):
-                        lam = _rim_parent(mu, r, a, e)
+                        lam = rim_parent(mu, r, a, e)
                         if lam is not None:
                             levels[size + a].append(lam)
     return levels
@@ -318,16 +316,24 @@ def fixed_counts_by_residues(e, max_n):
     return counts
 
 
+def rim_parent(mu, r, a, e):
+    """The e-regular lam with r rows whose e-rim has a nodes and leaves mu, or
+    None: the library's in-place _add_rim on mu's beta numbers h_j = mu_j - j."""
+    from mullineux.involution import _add_rim, _unbead
+
+    beads = [part - j for j, part in enumerate(mu)]
+    return _unbead(beads) if _add_rim(beads, r, a, e) else None
+
+
 def peeled_symbol(lam, e):
-    """Mullineux's symbol by the library's one-pass e-rim peel, outermost
+    """Mullineux's symbol by the library's in-place e-rim peel, outermost
     column (a, r) first."""
     from mullineux.involution import _peel_rim
 
-    columns = []
-    while lam:
-        rows = len(lam)
-        lam, a = _peel_rim(lam, e)
-        columns.append((a, rows))
+    parts, columns = list(lam), []
+    while parts:
+        rows = len(parts)
+        columns.append((_peel_rim(parts, e), rows))
     return tuple(columns)
 
 

@@ -150,6 +150,9 @@ def test_usage_errors(capsys, tmp_path, monkeypatch):
     # a literal int() would read as 10
     assert main(["compute", "-e", "3", "1_0"]) == 2
     assert capsys.readouterr() == ("", "error: malformed partition literal: '1_0'\n")
+    # a literal int() would read as 3, whose image 2,1 was once printed
+    assert main(["compute", "-e", "3", "03"]) == 2
+    assert capsys.readouterr() == ("", "error: malformed partition literal: '03'\n")
     # partition outside the command's domain
     assert main(["compute", "-e", "3", "1,1,1"]) == 2
     capsys.readouterr()
@@ -329,7 +332,7 @@ def test_cold_verify_leaves_one_counts_entry(capsys, tmp_path, monkeypatch):
 def test_internal_error_has_its_own_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
     # a symbol column with no rim parent, from the first one on
-    monkeypatch.setattr(involution, "_rim_parent", lambda mu, r, a, e: None)
+    monkeypatch.setattr(involution, "_add_rim", lambda beads, r, a, e: False)
     assert main(["compute", "-e", "3", "3,1,1"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -339,13 +342,25 @@ def test_internal_error_has_its_own_exit_code(capsys, tmp_path, monkeypatch):
 def test_short_replay_is_an_internal_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
     # a rebuild that places the last column and then finds no rim parent
-    rim_parent = involution._rim_parent
-    monkeypatch.setattr(involution, "_rim_parent",
-                        lambda mu, r, a, e: None if mu else rim_parent(mu, r, a, e))
+    add_rim = involution._add_rim
+    monkeypatch.setattr(involution, "_add_rim",
+                        lambda beads, r, a, e: False if beads else add_rim(beads, r, a, e))
     assert main(["compute", "-e", "3", "4,2,1"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: symbol column (6, 3) has no rim parent of (1,) (e=3)\n"
+
+
+def test_an_unfold_column_with_no_rim_parent_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    # eta rebuilds c(1) = (1, 1) inside c(2) = (5, 3) on the same kernel
+    add_rim = involution._add_rim
+    monkeypatch.setattr(involution, "_add_rim",
+                        lambda beads, r, a, e: False if beads else add_rim(beads, r, a, e))
+    assert main(["eta", "--kind", "odd", "--ell", "1", "2,1"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: symbol column (5, 3) has no rim parent of (1,) (e=3)\n"
 
 
 def test_a_twisted_move_out_of_the_class_is_an_internal_error(capsys, tmp_path, monkeypatch):

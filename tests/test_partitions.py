@@ -34,6 +34,14 @@ def test_parse_rejects_garbage():
     for text in ("2,3", "0", "a,b", "1,", "", "1_0", "+3", "\u0663", "\uff13", "3 ,1", "3, 1"):
         with pytest.raises(ValueError):
             parse_partition(text)
+    # nor are leading zeros, which int() reads as 3, (3, 1), 0 and (10, 2)
+    for text in ("03", "3,01", "00", "10,02"):
+        with pytest.raises(ValueError, match=f"malformed partition literal: '{text}'"):
+            parse_partition(text)
+    # a lone zero is well formed and keeps its own message
+    with pytest.raises(ValueError, match="parts must be positive, got 0"):
+        parse_partition("0")
+    assert parse_partition("10,1") == (10, 1)
 
 
 def test_conjugate_examples():

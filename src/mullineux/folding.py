@@ -22,7 +22,7 @@ from .partitions import (
     Partition,
     residue_counts,
 )
-from .twisted import _require_class, canonical_path_twisted
+from .twisted import _require_class, _strip
 
 
 def affine_type_a_cartan(e: int) -> tuple[tuple[int, ...], ...]:
@@ -98,6 +98,11 @@ def unfold(lam: Partition, kind: CrystalKind) -> Partition:
     ... is the symbol of a fixed partition, rebuilt from the innermost column out.
     """
     _require_class(lam, kind)
+    return _unfold(lam, kind)
+
+
+def _unfold(lam: Partition, kind: CrystalKind) -> Partition:
+    """unfold of a class member, unchecked."""
     columns = list(islice(_fixed_symbol_columns(kind.e), lam[0] if lam else 0))
     return _from_columns([columns[part - 1] for part in reversed(lam)], kind.e)
 
@@ -154,7 +159,8 @@ def check_fold_relations(lam: Partition, kind: CrystalKind) -> FoldReport:
     the stated size/count parities hold.  The letter counts come from the
     canonical residue word, the image from the symbol columns of unfold.
     """
-    word, image = canonical_path_twisted(lam, kind), unfold(lam, kind)
+    _require_class(lam, kind)
+    word, image = _strip(lam, kind), _unfold(lam, kind)
     n = sum(lam)
     counts = tuple([word.count(r) for r in range(kind.modulus)])
     profile = residue_counts(image, kind.e)

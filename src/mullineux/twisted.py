@@ -121,51 +121,66 @@ def node_scan(lam: Partition, kind: CrystalKind) -> tuple[TwistedNode, ...]:
     return tuple(out)
 
 
+def _seats(kind: CrystalKind, top: int):
+    """The kind's seat tables for the row kernels, on class members with
+    parts at most top: the modulus; res[c], the residue of column c;
+    pair[c], whether columns c and c + 1 share it; r_from[v], the least part
+    whose row end is removable above a part v, and a_upto[v], the largest
+    part whose row end is addable below a part v (the f-strict rule of
+    _fits, solved once per v).  Every table runs to index top + 3, the
+    sentinel part the kernels put above the first row."""
+    f, pattern = kind.strict_f, kind.column_pattern
+    period, cols = len(pattern), range(top + 4)
+    return (kind.modulus, [pattern[(c - 1) % period] for c in cols],
+            [pattern[(c - 1) % period] == pattern[c % period] for c in cols],
+            [v + 2 - (v % f == 0) for v in cols], [v - 2 + (v % f == 0) for v in cols])
+
+
 # Row kernels: one bottom-up pass over a class member (a tuple or a list;
-# unchecked), each row through the seats of node_scan that fit: R2, R1, A1,
-# A2.  A fitting pair seat counts as a second seat of its single seat's row.
-# With a count of pending A's per residue, the good node is the last R read
-# with none pending, the cogood node the A that opens the run still pending
-# at the end; 0 for none.  R2 is read just before R1, which replaces it, and
-# A2 just after A1, so neither is ever chosen.
-def _good_rows(lam, kind: CrystalKind) -> list[int]:
+# unchecked) with parts at most the top of its seat tables, each row through
+# the seats of node_scan that fit: R2, R1, A1, A2.  R1 fits when part >= low
+# (r_from of the part below), R2 when also part > low and the pair seat
+# shares R1's residue; A1 fits when part <= high (a_upto of the part above),
+# A2 when also part < high and the pair seat shares A1's residue.  A fitting
+# pair seat counts as a second seat of its single seat's row.  With a count
+# of pending A's per residue, the good node is the last R read with none
+# pending, the cogood node the A that opens the run still pending at the
+# end; 0 for none.  R2 is read just before R1, which replaces it, and A2 just
+# after A1, so neither is ever chosen.
+def _good_rows(lam, seats) -> list[int]:
     """Row of the good i-node for every residue i."""
-    f, pattern, m = kind.strict_f, kind.column_pattern, kind.modulus
-    period = len(pattern)
-    good, pending, row, part, below = [0] * m, [0] * m, len(lam) + 1, 0, 0
+    m, res, pair, r_from, a_upto = seats
+    good, pending, row, part, low = [0] * m, [0] * m, len(lam) + 1, 0, r_from[0]
     for above in [*reversed(lam), lam[0] + 3 if lam else 3]:
-        if part - 1 > below or part - 1 == below and below % f == 0:
-            x = pattern[(part - 1) % period]
-            seats = 1 + (pattern[(part - 2) % period] == x and (
-                part - 2 > below or part - 2 == below and below % f == 0))
-            if pending[x] < seats:
-                good[x] = row
-            pending[x] = max(pending[x] - seats, 0)
-        if above > part + 1 or above == part + 1 and above % f == 0:
-            x = pattern[part % period]
-            pending[x] += 1 + (pattern[(part + 1) % period] == x and (
-                above > part + 2 or above == part + 2 and above % f == 0))
-        row, below, part = row - 1, part, above
+        if part >= low:
+            x = res[part]
+            count = pending[x] - (2 if part > low and pair[part - 1] else 1)
+            if count < 0:
+                good[x], count = row, 0
+            pending[x] = count
+        high = a_upto[above]
+        if part <= high:
+            pending[res[part + 1]] += 2 if part < high and pair[part + 1] else 1
+        row, low, part = row - 1, r_from[part], above
     return good
 
 
-def _cogood_rows(lam, kind: CrystalKind) -> list[int]:
+def _cogood_rows(lam, seats) -> list[int]:
     """Row of the cogood i-node for every residue i."""
-    f, pattern, m = kind.strict_f, kind.column_pattern, kind.modulus
-    period = len(pattern)
-    cogood, pending, row, part, below = [0] * m, [0] * m, len(lam) + 1, 0, 0
+    m, res, pair, r_from, a_upto = seats
+    cogood, pending, row, part, low = [0] * m, [0] * m, len(lam) + 1, 0, r_from[0]
     for above in [*reversed(lam), lam[0] + 3 if lam else 3]:
-        if part - 1 > below or part - 1 == below and below % f == 0:
-            x = pattern[(part - 1) % period]
-            pending[x] = max(pending[x] - 1 - (pattern[(part - 2) % period] == x and (
-                part - 2 > below or part - 2 == below and below % f == 0)), 0)
-        if above > part + 1 or above == part + 1 and above % f == 0:
-            x = pattern[part % period]
+        if part >= low:
+            x = res[part]
+            count = pending[x] - (2 if part > low and pair[part - 1] else 1)
+            pending[x] = count if count > 0 else 0
+        high = a_upto[above]
+        if part <= high:
+            x = res[part + 1]
             if not pending[x]:
                 cogood[x] = row
-            pending[x] += 1 + (pattern[(part + 1) % period] == x and (
-                above > part + 2 or above == part + 2 and above % f == 0))
-        row, below, part = row - 1, part, above
+            pending[x] += 2 if part < high and pair[part + 1] else 1
+        row, low, part = row - 1, r_from[part], above
     return [seat if count else 0 for seat, count in zip(cogood, pending)]
 
 
@@ -213,13 +228,15 @@ def _moved(lam: Partition, row: int, kind: CrystalKind, add: bool) -> Partition 
 def f_twisted(lam: Partition, i, kind: CrystalKind) -> Partition | None:
     """Lowering operator: add the cogood i-node (a single box), or None."""
     _require_class(lam, kind)
-    return _moved(lam, _cogood_rows(lam, kind)[_residue_value(i, kind.modulus)], kind, True)
+    rows = _cogood_rows(lam, _seats(kind, lam[0] if lam else 0))
+    return _moved(lam, rows[_residue_value(i, kind.modulus)], kind, True)
 
 
 def e_twisted(lam: Partition, i, kind: CrystalKind) -> Partition | None:
     """Raising operator: remove the good i-node (a single box), or None."""
     _require_class(lam, kind)
-    return _moved(lam, _good_rows(lam, kind)[_residue_value(i, kind.modulus)], kind, False)
+    rows = _good_rows(lam, _seats(kind, lam[0] if lam else 0))
+    return _moved(lam, rows[_residue_value(i, kind.modulus)], kind, False)
 
 
 def canonical_path_twisted(lam: Partition, kind: CrystalKind) -> tuple[int, ...]:
@@ -227,13 +244,21 @@ def canonical_path_twisted(lam: Partition, kind: CrystalKind) -> tuple[int, ...]
     letter per box, chosen by stripping good nodes at the smallest residue
     that has one."""
     _require_class(lam, kind)
-    return _strip_good_nodes(lam, lambda parts: _good_rows(parts, kind), "class member",
+    return _strip(lam, kind)
+
+
+def _strip(lam: Partition, kind: CrystalKind) -> tuple[int, ...]:
+    """canonical_path_twisted of a class member, unchecked."""
+    seats = _seats(kind, lam[0] if lam else 0)
+    return _strip_good_nodes(lam, lambda parts: _good_rows(parts, seats), "class member",
                              lambda parts, row: _check_move(parts, row, kind, False))
 
 
 def replay_twisted(word, kind: CrystalKind) -> Partition:
     """Apply f_twisted from the empty partition along a residue word."""
-    return _replay(word, lambda parts: _cogood_rows(parts, kind), kind.modulus,
+    word = tuple(word)
+    seats = _seats(kind, len(word))
+    return _replay(word, lambda parts: _cogood_rows(parts, seats), kind.modulus,
                    lambda parts, row: _check_move(parts, row, kind, True))
 
 
@@ -241,7 +266,8 @@ def _walk(kind: CrystalKind, max_depth: int):
     """The checked walk of depths 0..max_depth, which runs as it is read."""
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    return _crystal_walk(lambda lam: _cogood_rows(lam, kind), max_depth,
+    seats = _seats(kind, max_depth)
+    return _crystal_walk(lambda lam: _cogood_rows(lam, seats), max_depth,
                          _class_counts(kind, max_depth),
                          f"class_partitions at {kind.parity} ell={kind.ell}",
                          lambda lam, row: _check_move(lam, row, kind, True))

@@ -252,6 +252,27 @@ def unfold_by_largest(lam, kind):
     return unfold_by_replay(word, kind)
 
 
+def twisted_content(lam, kind):
+    """Boxes of lam per twisted residue, read column by column through
+    residue_twisted."""
+    from mullineux.partitions import residue_twisted
+
+    content = [0] * kind.modulus
+    for part in lam:
+        for col in range(1, part + 1):
+            content[residue_twisted(col, kind).value] += 1
+    return content
+
+
+def string_length(lam, step):
+    """How many times step (a raising or lowering operator of one residue)
+    applies to lam before it returns None."""
+    length = 0
+    while (lam := step(lam)) is not None:
+        length += 1
+    return length
+
+
 def unfold_walk(kind, max_size):
     """Every twisted-crystal vertex whose unfolded image has at most max_size
     boxes, mapped to that image: the third fixed-point route, after the

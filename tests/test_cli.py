@@ -370,7 +370,7 @@ def test_a_twisted_move_out_of_the_class_is_an_internal_error(capsys, tmp_path, 
     # eta builds its image from symbol columns and reads no kernel; eta
     # --check strips its vertex for the word it prints.
     for kernel in ("_good_rows", "_cogood_rows"):
-        monkeypatch.setattr(twisted, kernel, lambda lam, kind: [1] * kind.modulus)
+        monkeypatch.setattr(twisted, kernel, lambda lam, seats: [1] * seats[0])
     assert main(["eta", "--kind", "odd", "--ell", "1", "2,1"]) == 0
     assert capsys.readouterr().out == "4,1,1\n"
     assert main(["eta", "--kind", "odd", "--ell", "1", "--check", "2,1"]) == EXIT_INTERNAL

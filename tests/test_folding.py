@@ -4,6 +4,8 @@ from helpers import (
     expand_word,
     fixed_column,
     peeled_symbol,
+    string_length,
+    twisted_content,
     unfold_by_largest,
     unfold_by_replay,
 )
@@ -17,7 +19,15 @@ from mullineux.folding import (
 )
 from mullineux.involution import _fixed_columns, mullineux
 from mullineux.partitions import CrystalKind, _fits, residue_counts
-from mullineux.twisted import canonical_path_twisted, class_partitions, f_twisted, in_crystal_class
+from mullineux.twisted import (
+    canonical_path_twisted,
+    class_partitions,
+    e_twisted,
+    enumerate_twisted,
+    f_twisted,
+    in_crystal_class,
+    signature_report_twisted,
+)
 
 ODD1, ODD2 = CrystalKind.odd(1), CrystalKind.odd(2)
 EVEN1, EVEN2 = CrystalKind.even(1), CrystalKind.even(2)
@@ -171,7 +181,7 @@ def test_report_serializes():
 def test_fold_check_strips_its_vertex_once(kind, monkeypatch):
     # unfold neither strips nor replays; the check strips once, for its word.
     calls, strips = [], []
-    path, strip = folding.canonical_path_twisted, twisted._strip_good_nodes
+    path, strip = folding._strip, twisted._strip_good_nodes
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -187,7 +197,7 @@ def test_fold_check_strips_its_vertex_once(kind, monkeypatch):
     for n in range(8):
         for lam in class_partitions(n, kind):
             image = unfold(lam, kind)
-            monkeypatch.setattr(folding, "canonical_path_twisted", counted)
+            monkeypatch.setattr(folding, "_strip", counted)
             monkeypatch.setattr(twisted, "_strip_good_nodes", counted_strip)
             monkeypatch.setattr(twisted, "_replay", refuse)
             monkeypatch.setattr(typea, "_replay", refuse)
@@ -198,4 +208,52 @@ def test_fold_check_strips_its_vertex_once(kind, monkeypatch):
             report = check_fold_relations(lam, kind)
             assert len(calls) == len(strips) == 1, lam
             monkeypatch.undo()
-            assert report.image == image and report.word == path(lam, kind)
+            assert report.image == image
+            assert report.word == canonical_path_twisted(lam, kind)
+
+
+@pytest.mark.parametrize("kind, lam, message", [
+    (ODD1, (1, 1), "(1, 1) is not a restricted 3-strict partition"),
+    (ODD1, (5, 1), "(5, 1) is not a restricted 3-strict partition"),
+    (EVEN1, (6, 1), "(6, 1) is not a double restricted 2-strict partition"),
+    (EVEN2, (2, 2), "(2, 2) is not a double restricted 3-strict partition"),
+], ids=("odd1-equal", "odd1-drop", "even1-drop", "even2-equal"))
+def test_fold_check_validates_its_vertex_once(kind, lam, message, monkeypatch):
+    # one class check at the boundary, whose message names the vertex and
+    # the class; the strip and unfold behind it check nothing again
+    checked, require = [], folding._require_class
+
+    def counted(*args):
+        checked.append(args)
+        return require(*args)
+    monkeypatch.setattr(folding, "_require_class", counted)
+    monkeypatch.setattr(twisted, "_require_class", counted)
+    with pytest.raises(ValueError) as excinfo:
+        check_fold_relations(lam, kind)
+    assert str(excinfo.value) == message
+    assert checked == [(lam, kind)]
+    checked.clear()
+    member = class_partitions(6, kind)[-1]
+    assert check_fold_relations(member, kind).ok
+    assert checked == [(member, kind)]
+
+
+@pytest.mark.parametrize("kind", [CrystalKind(parity, ell) for ell in (1, 2, 3, 5)
+                                  for parity in ("odd", "even")], ids=str)
+def test_vertex_weights_pair_with_the_folded_cartan_matrix(kind):
+    # Kashiwara's axiom phi_i - eps_i = <h_i, wt> at every vertex, with
+    # wt = Lambda_0 - sum_j c_j alpha_j, c_j the boxes of twisted residue j,
+    # and <h_i, alpha_j> = A_ij read from fold_cartan as stored (its
+    # transpose fails for every e but 2, so this pins the orientation).
+    # eps and phi come from the node_scan report and again as the string
+    # lengths of e_twisted and f_twisted, which read the row kernels.
+    a = fold_cartan(kind.e).matrix
+    for level in enumerate_twisted(kind, 14).levels:
+        for lam in level:
+            content = twisted_content(lam, kind)
+            for i in range(kind.modulus):
+                report = signature_report_twisted(lam, i, kind)
+                assert report.epsilon == string_length(lam, lambda mu: e_twisted(mu, i, kind))
+                assert report.phi == string_length(lam, lambda mu: f_twisted(mu, i, kind))
+                assert report.phi - report.epsilon == (i == 0) - sum(
+                    a[i][j] * content[j] for j in range(kind.modulus)), (lam, i)

@@ -1,4 +1,5 @@
 import random
+from math import inf
 
 import pytest
 
@@ -15,6 +16,7 @@ from mullineux.partitions import (
     CrystalKind,
     InternalConsistencyError,
     Residue,
+    _fits,
     is_double_restricted_strict,
     is_restricted_strict,
     is_strict,
@@ -244,9 +246,9 @@ def test_a_bad_level_stops_the_walk(monkeypatch):
     walked = [lam for level in enumerate_twisted(ODD1, 4).levels for lam in level]
     read, cogood_rows = [], twisted._cogood_rows
 
-    def counted(lam, kind):
+    def counted(lam, seats):
         read.append(lam)
-        return cogood_rows(lam, kind)
+        return cogood_rows(lam, seats)
     monkeypatch.setattr(twisted, "_cogood_rows", counted)
     monkeypatch.setattr(twisted, "_class_counts", short_level_5)
     with pytest.raises(InternalConsistencyError) as excinfo:
@@ -282,13 +284,54 @@ def test_good_cogood_rows_match_signature_report(kind):
     members = [lam for n in range(17) for lam in class_partitions(n, kind)]
     members += [rng.choice(levels[rng.randint(20, 40)]) for _ in range(300)]
     for lam in members:
-        good, cogood = twisted._good_rows(lam, kind), twisted._cogood_rows(lam, kind)
-        assert twisted._good_rows(list(lam), kind) == good, lam
-        assert twisted._cogood_rows(list(lam), kind) == cogood, lam
+        seats = twisted._seats(kind, lam[0] if lam else 0)
+        good, cogood = twisted._good_rows(lam, seats), twisted._cogood_rows(lam, seats)
+        assert twisted._good_rows(list(lam), seats) == good, lam
+        assert twisted._cogood_rows(list(lam), seats) == cogood, lam
         for i in range(kind.modulus):
             report = signature_report_twisted(lam, i, kind)
             assert good[i] == (report.good.node[0] if report.good else 0), (lam, i)
             assert cogood[i] == (report.cogood.node[0] if report.cogood else 0), (lam, i)
+
+
+@pytest.mark.parametrize("kind", [CrystalKind(parity, ell) for ell in range(1, 6)
+                                  for parity in ("odd", "even")], ids=str)
+def test_seat_tables_match_residues_and_the_fit_rule(kind):
+    # every entry against residue_twisted and _fits, through three periods
+    # of the column pattern and five more parts
+    f, top = kind.strict_f, 3 * len(kind.column_pattern) + 5
+    modulus, res, pair, r_from, a_upto = twisted._seats(kind, top)
+    assert modulus == kind.modulus
+    assert len(res) == len(pair) == len(r_from) == len(a_upto) == top + 4
+    for c in range(1, top + 4):
+        assert res[c] == residue_twisted(c, kind).value, c
+        assert pair[c] == (residue_twisted(c, kind) == residue_twisted(c + 1, kind)), c
+    for v in range(top + 4):
+        assert r_from[v] == min(p for p in range(v + 4) if _fits(p - 1, v, f, inf)), v
+        assert a_upto[v] == max(p for p in range(-2, v + 1) if _fits(v, p + 1, f, inf)), v
+
+
+@pytest.mark.parametrize("kind", [CrystalKind(parity, ell) for ell in (1, 2, 3, 5)
+                                  for parity in ("odd", "even")], ids=str)
+def test_strip_replay_and_walk_stay_inside_their_seat_tables(kind):
+    # Each caller sizes its tables by the largest part it can meet, and a
+    # one-row member (top,) meets it: the strip (top lam[0]) reads the
+    # sentinel above row 1 at the last index, the replay of its word ends
+    # on a part equal to len(word), and a walk to depth top reaches (top,)
+    # and walks (top - 1,), whose largest part equals its depth.
+    for top in range(1, 2 * kind.strict_f + 1):
+        lam = (top,)
+        if not in_crystal_class(lam, kind):
+            continue
+        word = canonical_path_twisted(lam, kind)
+        assert replay_twisted(word, kind) == lam and len(word) == top
+        for i in range(kind.modulus):
+            report = signature_report_twisted(lam, i, kind)
+            assert (e_twisted(lam, i, kind) is None) == (report.good is None), i
+            assert (f_twisted(lam, i, kind) is None) == (report.cogood is None), i
+        graph = enumerate_twisted(kind, top)
+        assert lam in graph.levels[top]
+        assert ((top - 1,) if top > 1 else (), lam, word[-1]) in graph.edges
 
 
 @pytest.mark.parametrize("kind", SMALL_KINDS + (CrystalKind.odd(3), CrystalKind.even(3)), ids=str)

@@ -5,6 +5,9 @@ Output is deterministic byte-for-byte for identical invocations; only
 Exit status: 0 on success, 1 when a verification command finds a failure,
 2 on usage errors and an unwritable cache, 3 when an internal consistency
 check fails (a bug, reported as one `internal error:` line on stderr).
+A `mull` process whose stdout is closed early (`mull fixed ... | head -1`)
+ends quietly by SIGPIPE where that signal exists: status 141 in a POSIX
+shell, never one of 0-3.
 `-e` and `--ell` above MAX_E, a negative `--bound`, crystal exports and
 verify censuses of more than MAX_VERTICES vertices and sizes above MAX_BOXES
 boxes (`-n`, `--bound`, the fixed size bound of `verify --max-deg`, partition
@@ -173,7 +176,7 @@ def cmd_alt_count(args) -> int:
 _E, _N = ("-e", {"type": int, "required": True}), ("-n", {"type": int, "required": True})
 _KIND = ("--kind", {"choices": ("odd", "even"), "required": True})
 _ELL, _LAM = ("--ell", {"type": int, "required": True}), ("partition", {})
-# name: (help, handler, arguments, None or the one nested subcommand and its help)
+# name: (help, handler, arguments, None or add_parser's keywords for one nested subcommand)
 SUBCOMMANDS = {
     "compute": ("Mullineux image of an e-regular partition", cmd_compute, (_E, _LAM), None),
     "fixed": ("Mullineux-fixed partitions of n", cmd_fixed, (_E, _N, ("--profile", {
@@ -183,9 +186,9 @@ SUBCOMMANDS = {
         ("-e", {"type": int}), ("--ell", {"type": int}),
         ("--bound", {"type": int, "required": True}),
         ("--format", {"choices": ("dot", "jsonl"), "required": True})),
-        ("export", "export a level-bounded crystal graph")),
+        {"name": "export", "help": "export a level-bounded crystal graph"}),
     "twisted": ("twisted crystal utilities", cmd_twisted_path, (_KIND, _ELL, _LAM),
-                ("path", "residue word from empty to a class member")),
+                {"name": "path", "help": "residue word from empty to a class member"}),
     "eta": ("Mullineux-fixed image of a twisted-crystal vertex", cmd_eta, (_KIND, _ELL, (
         "--check", {"action": "store_true",
                     "help": "emit the JSON relation report instead of the image"}), _LAM), None),
@@ -200,33 +203,33 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `mull` parser.  A known command name registers only its own entry
-    of SUBCOMMANDS, and its usage line still names every command; anything
-    else registers them all."""
-    parser = argparse.ArgumentParser(
-        prog="mull",
-        description="Mullineux involution, good-node crystals, and exact "
-                    "fixed-point counting identities on partitions.")
-    names = [command] if command in SUBCOMMANDS else list(SUBCOMMANDS)
-    # Set on the full tree, the metavar would also name the commands in the
-    # `argument command` errors, which only the full tree can raise.
-    sub = parser.add_subparsers(dest="command", required=True, metavar=(
-        None if len(names) > 1 else "{" + ",".join(SUBCOMMANDS) + "}"))
-    for name in names:
-        text, _, arguments, nested = SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=text)
-        if nested:
-            p = p.add_subparsers(dest=f"{name}_command", required=True).add_parser(
-                nested[0], help=nested[1])
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
+def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
+    _, _, arguments, nested = SUBCOMMANDS[name]
+    if nested:
+        parser = parser.add_subparsers(dest=f"{name}_command", required=True).add_parser(**nested)
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole `mull` tree, for its usage line, help page and errors."""
+    parser = argparse.ArgumentParser(prog="mull", description="Mullineux involution, good-node "
+                                     "crystals, and exact fixed-point counting identities on partitions.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, *_) in SUBCOMMANDS.items():
+        _add_command(sub.add_parser(name, help=text), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    if argv and argv[0] in SUBCOMMANDS:  # its own parser prints what it would in the tree
+        _add_command(parser := argparse.ArgumentParser(prog=f"mull {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:  # reported as the tree's parse_args reports them
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = build_parser().parse_args(argv)
     try:
         for flag, name, ceiling in (("-e", "e", MAX_E), ("--ell", "ell", MAX_E),
                                     ("-n", "n", MAX_BOXES), ("--bound", "bound", MAX_BOXES)):
@@ -249,6 +252,9 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    import signal  # here, not at the top: its enums take about 1 ms to build
+    if (sigpipe := getattr(signal, "SIGPIPE", None)) is not None:
+        signal.signal(sigpipe, signal.SIG_DFL)  # not in main, which runs in process
     sys.exit(main())
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -915,9 +916,9 @@ def test_compute_stdout_on_large_literals_matches_pinned_digest(
 
 
 # (exit status, sha256 of stdout + stderr) of argparse's own text, at 80
-# columns: usage lines, help pages and errors, recorded while every call built
-# the parser of every subcommand.  A known command now builds only its own,
-# and its usage line must still name all nine.
+# columns: usage lines, help pages and errors, each recorded while the text came
+# from a `mull` tree.  A known command now parses with its own parser alone,
+# and must print what it printed inside the tree.
 PINNED_ARGPARSE_TEXT = {
     "":
         (2, "8bb2a5ef635618e1cfe9b2ad1b3ac4d98459e391ece7d0cf294502c449891b1e"),
@@ -967,6 +968,18 @@ PINNED_ARGPARSE_TEXT = {
         (2, "1a86871bcd99cc9e75273aa7c3e1a09a23e21f60cc85cd5f1ca33b4971507371"),
     "compute --bogus":
         (2, "460762fe1b6d096795237429bffe80f277fbbc242206d45f9b9b8ff8a486bae8"),
+    "twisted path --kind odd --ell 1 2,1 extra":
+        (2, "b7727229a39e296ba11c8eef8d0ec4d2119f5719a9c40e1c062ed2d1438bbdea"),
+    "eta --kind odd --ell 1 2 x y":
+        (2, "3fd68a7198312593c2b209dfde7dee96c23ea0138fdf7189eb7d7ebec2216100"),
+    "verify --kind odd --ell 1 --max-deg 2 -- x":
+        (2, "a3bae672738c13fe32935775f35800b6c56ede9c5fb5b5dbfc255e83890e42c7"),
+    "verify --bogus":
+        (2, "bb318f501722c6f6521b879cebce794f2073be4ac6c0430ff9c3e6cf81f67b45"),
+    "crystal export --kind typea -e 3 --bound 3":
+        (2, "6906c0c72658d0dfda0171e714954e1a43b530c29fa6cb5ab0f453fb8c272f8d"),
+    "verify --kind odd --ell 1 --max-deg 2 -h":
+        (0, "554dc729c7df2042f3b385092d9275da532c18704f178e923484e702b42698b7"),
 }
 
 
@@ -980,6 +993,14 @@ def test_argparse_text_matches_pinned_digest(argv, capsys, monkeypatch):
     assert (exc.value.code, digest) == PINNED_ARGPARSE_TEXT[argv]
 
 
+def test_joined_and_abbreviated_options_parse_as_written_out(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MULLINEUX_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["verify", "--kind", "odd", "--ell", "1", "--max-deg", "2"]) == 0
+    full = capsys.readouterr()
+    assert main(["verify", "--kind=odd", "--ell", "1", "--max", "2"]) == 0
+    assert capsys.readouterr() == full
+
+
 @pytest.mark.parametrize("argv", ["", "verify --kind odd --ell 1 --max-deg 2 extra"])
 def test_argparse_text_of_a_process_matches_pinned_digest(argv, tmp_path):
     # `python -m mullineux` reaches main with argv=None, so it reads sys.argv.
@@ -988,10 +1009,29 @@ def test_argparse_text_of_a_process_matches_pinned_digest(argv, tmp_path):
     assert (run.returncode, digest) == PINNED_ARGPARSE_TEXT[argv]
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_closed_stdout_ends_the_process_quietly(tmp_path):
+    # 1.3 MB of records, more than a pipe holds, so the child writes after
+    # the reader has gone.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "mullineux", "fixed", "-e", "2", "-n", "66", "--profile"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(tmp_path))
+    assert json.loads(child.stdout.readline())["n"] == 66
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (-signal.SIGPIPE, b"")
+
+
+# The parsers of the whole `mull` tree, in the order build_parser makes them.
+TREE_PROGS = ["mull", "mull compute", "mull fixed", "mull crystal", "mull crystal export",
+              "mull twisted", "mull twisted path", "mull eta", "mull bijection",
+              "mull fold-cartan", "mull verify", "mull alt-count"]
+
+
 @pytest.mark.parametrize("argv, progs", [
-    (["verify", "--kind", "odd", "--ell", "1", "--max-deg", "2"], ["mull", "mull verify"]),
+    (["verify", "--kind", "odd", "--ell", "1", "--max-deg", "2"], ["mull verify"]),
     (["crystal", "export", "--kind", "typea", "-e", "3", "--bound", "4", "--format", "dot"],
-     ["mull", "mull crystal", "mull crystal export"]),
+     ["mull crystal", "mull crystal export"]),
 ])
 def test_a_known_command_builds_only_its_own_parsers(argv, progs, capsys, tmp_path,
                                                      monkeypatch):
@@ -1003,11 +1043,16 @@ def test_a_known_command_builds_only_its_own_parsers(argv, progs, capsys, tmp_pa
         init(self, *args, **kwargs)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(argv) == 0
-    assert built == progs
+    assert main(argv) == 0  # no parser is kept from one call to the next
+    assert built == progs + progs
     built.clear()
-    with pytest.raises(SystemExit):  # an unknown name still builds the whole tree
+    with pytest.raises(SystemExit):  # an unknown name builds the whole tree
         main(["bogus"])
-    assert len(built) == 12
+    assert built == TREE_PROGS
+    built.clear()
+    with pytest.raises(SystemExit):  # so does the error for leftover arguments
+        main(argv + ["extra"])
+    assert built == progs + TREE_PROGS
 
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")

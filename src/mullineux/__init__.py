@@ -19,7 +19,6 @@ from .folding import (
     unfold,
 )
 from .involution import (
-    FixedPointRecord,
     fixed_set,
     irr_alternating_count,
     mullineux,

@@ -3,7 +3,8 @@
 Output is deterministic byte-for-byte for identical invocations; only
 `verify` caches (its counts table), with the same output cold or warm.
 Exit status: 0 on success, 1 when a verification command finds a failure,
-2 on usage errors and an unwritable cache, 3 when an internal consistency
+2 on usage errors, an unwritable cache and an unwritable stdout (one
+`error: cannot write stdout:` line on stderr), 3 when an internal consistency
 check fails (a bug, reported as one `internal error:` line on stderr).
 A `mull` process whose stdout is closed early (`mull fixed ... | head -1`)
 ends quietly by SIGPIPE where that signal exists: status 141 in a POSIX
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -30,7 +32,7 @@ from .export import _dump, graph_to_dot, graph_to_jsonl
 from .folding import check_fold_relations, fold_cartan, unfold
 from .involution import fixed_set, irr_alternating_count, mullineux
 from .partitions import (CrystalKind, InternalConsistencyError, format_partition,
-                         parse_partition, regular_counts)
+                         parse_partition, regular_counts, residue_counts)
 from .twisted import canonical_path_twisted, enumerate_twisted
 from .typea import enumerate_kleshchev
 
@@ -55,10 +57,9 @@ def cmd_compute(args) -> int:
 
 
 def cmd_fixed(args) -> int:
-    for rec in fixed_set(args.e, args.n):
-        print(_dump({"n": rec.n, "partition": list(rec.partition),
-                     "residue_profile": list(rec.residue_profile)})
-              if args.profile else format_partition(rec.partition))
+    for lam in fixed_set(args.e, args.n):
+        print(_dump({"n": args.n, "partition": lam, "residue_profile": residue_counts(lam, args.e)})
+              if args.profile else format_partition(lam))
     return EXIT_OK
 
 
@@ -255,7 +256,14 @@ def console_main() -> None:
     import signal  # here, not at the top: its enums take about 1 ms to build
     if (sigpipe := getattr(signal, "SIGPIPE", None)) is not None:
         signal.signal(sigpipe, signal.SIG_DFL)  # not in main, which runs in process
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except OSError as exc:  # only stdout's: the cache turns its own into ValueError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the last flush
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        status = EXIT_USAGE
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ listing.  No route walks the crystal; `mullineux_map` is the tests' reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from operator import sub
 from typing import Iterator
@@ -20,7 +19,6 @@ from .partitions import (
     Partition,
     e_regular_partitions,
     regular_counts,
-    residue_counts,
 )
 from .typea import _cogood_rows, _require_regular, _shifted, enumerate_kleshchev
 
@@ -51,15 +49,6 @@ def mullineux_map(e: int, max_n: int) -> dict[Partition, Partition]:
                     f"negated word has no cogood step at {images[lam]} (e={e})")
             images[mu] = image
     return images
-
-
-@dataclass(frozen=True)
-class FixedPointRecord:
-    """A Mullineux-fixed partition together with its residue tallies."""
-
-    partition: Partition
-    n: int
-    residue_profile: tuple[int, ...]
 
 
 def _peel_rim(parts: list[int], e: int) -> int:
@@ -193,12 +182,11 @@ def _fixed_partitions(e: int, n: int) -> list[Partition]:
     return level
 
 
-def fixed_set(e: int, n: int) -> list[FixedPointRecord]:
+def fixed_set(e: int, n: int) -> list[Partition]:
     """All Mullineux-fixed e-regular partitions of n, sorted lexicographically."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    level = e_regular_partitions(n, 2) if e == 2 else _fixed_partitions(e, n)
-    return [FixedPointRecord(lam, n, residue_counts(lam, e)) for lam in sorted(level)]
+    return sorted(e_regular_partitions(n, 2) if e == 2 else _fixed_partitions(e, n))
 
 
 def regular_count(e: int, n: int) -> int:

@@ -12,7 +12,7 @@ generate the whole lattice from the empty partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .partitions import (
     InternalConsistencyError,
@@ -88,7 +88,10 @@ def _residue_value(x, modulus: int) -> int:
             raise ValueError(
                 f"residue modulus {x.modulus} does not match modulus {modulus}")
         return x.value
-    return int(x) % modulus
+    try:
+        return index(x) % modulus
+    except TypeError:
+        raise ValueError(f"residue must be an int or a Residue, got {x!r}") from None
 
 
 def _require_regular(lam: Partition, e: int) -> None:

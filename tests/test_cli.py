@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import io
 import json
@@ -1020,6 +1021,19 @@ def test_a_closed_stdout_ends_the_process_quietly(tmp_path):
     child.stdout.close()
     _, err = child.communicate(timeout=60)
     assert (child.returncode, err) == (-signal.SIGPIPE, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("args", [
+    ["fixed", "-e", "3", "-n", "5"],  # fails in the last flush
+    ["fixed", "-e", "2", "-n", "50", "--profile"],  # fails in a print, inside main
+])
+def test_a_full_stdout_is_one_error_line_and_exit_2(args, tmp_path):
+    with open("/dev/full", "w") as full:
+        child = subprocess.run([sys.executable, "-m", "mullineux", *args], stdout=full,
+                               stderr=subprocess.PIPE, text=True, env=cli_env(tmp_path))
+    assert (child.returncode, child.stderr) == (
+        EXIT_USAGE, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
 # The parsers of the whole `mull` tree, in the order build_parser makes them.

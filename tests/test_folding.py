@@ -18,7 +18,7 @@ from mullineux.folding import (
     unfold,
 )
 from mullineux.involution import _fixed_columns, mullineux
-from mullineux.partitions import CrystalKind, _fits, residue_counts
+from mullineux.partitions import CrystalKind, _fits, e_regular_partitions, residue_counts
 from mullineux.twisted import (
     canonical_path_twisted,
     class_partitions,
@@ -28,6 +28,7 @@ from mullineux.twisted import (
     in_crystal_class,
     signature_report_twisted,
 )
+from mullineux.typea import add_cogood, signature_report
 
 ODD1, ODD2 = CrystalKind.odd(1), CrystalKind.odd(2)
 EVEN1, EVEN2 = CrystalKind.even(1), CrystalKind.even(2)
@@ -257,3 +258,36 @@ def test_vertex_weights_pair_with_the_folded_cartan_matrix(kind):
                 assert report.phi == string_length(lam, lambda mu: f_twisted(mu, i, kind))
                 assert report.phi - report.epsilon == (i == 0) - sum(
                     a[i][j] * content[j] for j in range(kind.modulus)), (lam, i)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5, 7])
+def test_kleshchev_weights_pair_with_the_affine_cartan_matrix(e):
+    # The type A axiom on every Kleshchev vertex: phi_i - eps_i = delta_i0 -
+    # sum_j A_ij c_j, with c = residue_counts and A = affine_type_a_cartan(e);
+    # and the Mullineux image negates content: N_i(m(lam)) = N_{-i}(lam).
+    a = affine_type_a_cartan(e)
+    for n in range(13):
+        for lam in e_regular_partitions(n, e):
+            content = residue_counts(lam, e)
+            for i in range(e):
+                report = signature_report(lam, i, e)
+                assert report.phi - report.epsilon == (i == 0) - sum(
+                    a[i][j] * content[j] for j in range(e)), (lam, i)
+            image = residue_counts(mullineux(lam, e), e)
+            assert image == tuple(content[-i % e] for i in range(e)), lam
+
+
+@pytest.mark.parametrize("kind", [CrystalKind(parity, ell) for ell in (1, 2, 3, 5)
+                                  for parity in ("odd", "even")], ids=str)
+def test_unfold_follows_every_arrow_by_its_block(kind):
+    # The induction step of the relabelling, arrow by arrow (checked, not
+    # proved): cogood additions along the type A block of x take unfold(lam)
+    # to unfold(mu) for every arrow lam -x-> mu; unfold(()) = ().
+    images = {(): unfold((), kind)}
+    assert images[()] == ()
+    for lam, mu, x in enumerate_twisted(kind, 16).edges:
+        image = images[lam]
+        for y in expand_residue(x, kind):
+            image = add_cogood(image, y, kind.e)
+            assert image is not None, (lam, mu, x)
+        assert image == images.setdefault(mu, unfold(mu, kind)), (lam, mu, x)

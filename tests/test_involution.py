@@ -191,10 +191,8 @@ def test_map_agrees_with_single_shot(e):
 
 def test_fixed_sets():
     assert fixed_set(3, 2) == []
-    records = fixed_set(3, 5)
-    assert [rec.partition for rec in records] == [(3, 1, 1)]
-    assert records[0].residue_profile == (1, 2, 2)
-    assert records[0].n == 5
+    assert fixed_set(3, 5) == [(3, 1, 1)]
+    assert residue_counts((3, 1, 1), 3) == (1, 2, 2)  # the profile `fixed --profile` prints
     # at e=2 everything is fixed
     for n in range(8):
         assert len(fixed_set(2, n)) == regular_count(2, n)
@@ -210,7 +208,7 @@ def test_nonfixed_partitions_pair_up(e):
 def test_fixed_set_never_walks_the_crystal(monkeypatch):
     expected = brute_fixed_levels(3, 36)[36]
     forbid_crystal(monkeypatch)
-    assert [rec.partition for rec in fixed_set(3, 36)] == expected
+    assert fixed_set(3, 36) == expected
     assert len(fixed_set(2, 20)) == regular_count(2, 20)
     assert irr_alternating_count(5, 30) == (regular_count(5, 30) + 3 * len(fixed_set(5, 30))) // 2
 
@@ -221,6 +219,12 @@ def test_irr_alternating_count():
     assert irr_alternating_count(3, 1) == 2
     with pytest.raises(ValueError):
         irr_alternating_count(3, 0)
+
+
+def test_e2_shortcut_equals_the_column_walk():
+    # At e = 2 fixed_set lists K_n without the walk; the walk lists the same level.
+    for n in range(31):
+        assert fixed_set(2, n) == sorted(involution._fixed_partitions(2, n)), n
 
 
 def test_e2_lists_k_n_once(monkeypatch):
@@ -353,7 +357,7 @@ def test_column_automaton_matches_the_reference(e, max_n):
     # automaton; the reference grows every fixed point as a rim parent.
     assert counts_table(e, max_n).counts == fixed_counts_by_residues(e, max_n)
     for n, level in enumerate(fixed_levels(e, max_n)):
-        assert [rec.partition for rec in fixed_set(e, n)] == sorted(level), n
+        assert fixed_set(e, n) == sorted(level), n
         if n:
             assert 2 * irr_alternating_count(e, n) == regular_count(e, n) + 3 * len(level)
 
@@ -375,7 +379,7 @@ def test_fixed_levels_past_e_are_self_conjugate(e):
     # Below e boxes the involution is the transpose.
     expected = [sorted(symmetric_partitions(n)) for n in range(21)]
     assert [sorted(level) for level in fixed_levels(e, 20)] == expected
-    assert [[rec.partition for rec in fixed_set(e, n)] for n in range(21)] == expected
+    assert [fixed_set(e, n) for n in range(21)] == expected
     assert counts_table(e, 20).counts == fixed_counts_by_residues(e, 20)
 
 

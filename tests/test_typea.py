@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 
@@ -19,7 +21,7 @@ from mullineux.partitions import (
     is_e_regular,
     regular_counts,
 )
-from mullineux.twisted import replay_twisted
+from mullineux.twisted import e_twisted, f_twisted, replay_twisted, signature_report_twisted
 from mullineux.typea import (
     ReplayError,
     add_cogood,
@@ -297,3 +299,19 @@ def test_moves_reject_irregular_and_wrong_modulus():
             move((1, 1, 1), 0, 3)
         with pytest.raises(ValueError, match="residue modulus 5"):
             move((2,), Residue(0, 5), 3)
+
+
+@pytest.mark.parametrize("x", [0.9, 1.5, 2.7, "2", None, 1.0])
+def test_every_residue_reader_takes_only_ints(x):
+    # int(x) would read a float or a string as some residue; each entry point
+    # that reads a residue names the value instead
+    kind = CrystalKind.odd(1)
+    readers = [lambda: add_cogood((), x, 3), lambda: remove_good((1,), x, 3),
+               lambda: e_twisted((1,), x, kind), lambda: f_twisted((), x, kind),
+               lambda: signature_report((), x, 3), lambda: signature_report_twisted((), x, kind),
+               lambda: replay_path([0, x], 3), lambda: replay_twisted([0, x], kind)]
+    for read in readers:
+        with pytest.raises(ValueError, match=re.escape(f"int or a Residue, got {x!r}")):
+            read()
+    assert add_cogood((), True, 3) is None and add_cogood((), 0, 3) == (1,)
+    assert f_twisted((), Residue(0, kind.modulus), kind) == (1,)
